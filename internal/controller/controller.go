@@ -68,6 +68,19 @@ func (b *TokenBucket) Spend(x float64) {
 	}
 }
 
+// Refund returns x tokens that were spent on a grant the PE then did not
+// use. Like earnings, refunds stop at the cap: entitlement a PE leaves
+// idle beyond its burst horizon is lost, whichever way it came in.
+func (b *TokenBucket) Refund(x float64) {
+	if x <= 0 {
+		return
+	}
+	b.level += x
+	if b.level > b.cap {
+		b.level = b.cap
+	}
+}
+
 // Level returns the current token balance.
 func (b *TokenBucket) Level() float64 { return b.level }
 
@@ -99,8 +112,13 @@ type PETick struct {
 	// Occupancy is the input-buffer fill in SDOs (the congestion signal
 	// the planner shares CPU proportionally to).
 	Occupancy float64
-	// Work is the CPU fraction that would drain the entire input buffer
-	// this tick; the planner never allocates beyond it.
+	// Work is the most CPU the PE could use this tick; the planner never
+	// allocates beyond it. The simulator, whose PEs run only at the tick,
+	// passes the fraction that drains the input buffer as it stands. The
+	// live runtime, whose PEs run between ticks as SDOs arrive, passes
+	// that plus the cost of as many arrivals as the interval just ended
+	// brought, and takes back what the PE left unspent at the next tick
+	// (see spc.schedulerTick).
 	Work float64
 	// Cap is the CPU fraction implied by the downstream feedback bound
 	// (Eq. 8 mapped through g⁻¹); math.Inf(1) when unconstrained.

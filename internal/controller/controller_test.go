@@ -30,6 +30,19 @@ func TestTokenBucketEarnSpendCap(t *testing.T) {
 	if b.Rate() != 0.2 {
 		t.Errorf("Rate = %g", b.Rate())
 	}
+	// A refund undoes a spend, stops at the cap, and ignores nonsense.
+	b.Refund(0.4)
+	if !almostEq(b.Level(), 0.4, 1e-12) {
+		t.Errorf("level after refund = %g, want 0.4", b.Level())
+	}
+	b.Refund(-1)
+	if !almostEq(b.Level(), 0.4, 1e-12) {
+		t.Errorf("negative refund moved the level to %g", b.Level())
+	}
+	b.Refund(10)
+	if !almostEq(b.Level(), 1.0, 1e-12) {
+		t.Errorf("refund past the cap = %g, want the cap 1.0", b.Level())
+	}
 }
 
 func TestTokenBucketSetRatePreservesHorizon(t *testing.T) {

@@ -17,8 +17,11 @@
 // Blocking Push/Pop use a spin-then-park waiter: a few yielding retries
 // and then a cond-var park, guarded by a per-side waiter count so the
 // opposite side pays one atomic load per operation while nobody waits.
-// Cancellation parks arm a context.AfterFunc waker — on BOTH sides;
-// Pop's park is what regressed when only Push armed it (ISSUE 10).
+// A park under a cancellable context arms a context.AfterFunc waker — on
+// BOTH sides; Pop's park is what regressed when only Push armed it
+// (ISSUE 10). The waker is armed once per (ring, context) and then shared
+// by every later park under that context, so a consumer that parks per
+// burst (a PE between arrivals) allocates nothing to do so.
 //
 // Close is idempotent and the post-Close contract matches spc.Buffer's:
 // pushes fail immediately, pops drain what was accepted before Close
@@ -91,6 +94,17 @@ type Ring[T any] struct {
 	notEmpty *sync.Cond
 	pushWait atomic.Int32
 	popWait  atomic.Int32
+	// wakers lists the contexts with an armed cancellation waker (guarded
+	// by mu). An entry leaves when its context fires or the ring closes.
+	wakers []waker
+}
+
+// waker is one armed cancellation waker. The context's Done channel is
+// its identity: contexts that share one are cancelled together, so they
+// can share the waker too.
+type waker struct {
+	done <-chan struct{}
+	stop func() bool
 }
 
 // New creates a ring holding at most capacity elements. The backing
@@ -135,15 +149,26 @@ func (r *Ring[T]) Len() int {
 	return n
 }
 
+// Pushed returns how many elements the ring has ever accepted (the
+// enqueue cursor). It only grows, so the difference between two reads is
+// the number of pushes in between.
+func (r *Ring[T]) Pushed() uint64 { return r.head.Load() }
+
 // Closed reports whether Close has been called.
 func (r *Ring[T]) Closed() bool { return r.closed.Load() }
 
-// Close marks the ring closed and wakes every parked waiter. Idempotent.
+// Close marks the ring closed, wakes every parked waiter and disarms the
+// cancellation wakers (nothing parks on a closed ring, and a long-lived
+// context must not keep a dead ring reachable). Idempotent.
 func (r *Ring[T]) Close() {
 	if r.closed.Swap(true) {
 		return
 	}
 	r.mu.Lock()
+	for _, w := range r.wakers {
+		w.stop()
+	}
+	r.wakers = nil
 	r.notFull.Broadcast()
 	r.notEmpty.Broadcast()
 	r.mu.Unlock()
@@ -258,9 +283,39 @@ func (r *Ring[T]) wakePushers() {
 	}
 }
 
-// wakeAll unparks everyone: Close and context-cancellation wakers.
-func (r *Ring[T]) wakeAll() {
+// arm makes sure a park under ctx is woken by ctx's cancellation: Cond has
+// no context support, and a caller that cancels without ever closing the
+// ring must not hang. The caller holds r.mu and has seen ctx not yet done;
+// a cancellation racing the arm runs the waker as soon as mu is released,
+// after the caller's own post-announce ctx check.
+func (r *Ring[T]) arm(ctx context.Context) {
+	done := ctx.Done()
+	if done == nil {
+		return
+	}
+	for i := range r.wakers {
+		if r.wakers[i].done == done {
+			return
+		}
+	}
+	stop := context.AfterFunc(ctx, func() { r.cancelled(done) })
+	r.wakers = append(r.wakers, waker{done: done, stop: stop})
+}
+
+// cancelled is the waker body: the context identified by done fired, so
+// unpark everyone (each waiter re-checks its own context) and drop the
+// spent entry.
+func (r *Ring[T]) cancelled(done <-chan struct{}) {
 	r.mu.Lock()
+	for i := range r.wakers {
+		if r.wakers[i].done == done {
+			last := len(r.wakers) - 1
+			r.wakers[i] = r.wakers[last]
+			r.wakers[last] = waker{}
+			r.wakers = r.wakers[:last]
+			break
+		}
+	}
 	r.notFull.Broadcast()
 	r.notEmpty.Broadcast()
 	r.mu.Unlock()
@@ -309,17 +364,7 @@ func (r *Ring[T]) Push(ctx context.Context, v T) bool {
 			return true
 		}
 	}
-	// Park. Cond has no context support: wake-ups come from pops, from
-	// Close, and — so a caller that cancels without ever closing the
-	// ring cannot hang — from an AfterFunc waker armed once per park.
-	var stop func() bool
-	defer func() {
-		if stop != nil {
-			// Does not wait for an in-flight waker: the callback only
-			// broadcasts, which is harmless after we return.
-			stop()
-		}
-	}()
+	// Park: wake-ups come from pops, from Close, and from ctx's waker.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -332,9 +377,7 @@ func (r *Ring[T]) Push(ctx context.Context, v T) bool {
 		if r.closed.Load() || ctx.Err() != nil {
 			return false
 		}
-		if stop == nil && ctx.Done() != nil {
-			stop = context.AfterFunc(ctx, r.wakeAll)
-		}
+		r.arm(ctx)
 		r.pushWait.Add(1)
 		// Final retry after announcing the wait: a pop that completed
 		// between our last attempt and the Add has already loaded a
@@ -356,8 +399,8 @@ func (r *Ring[T]) Push(ctx context.Context, v T) bool {
 }
 
 // Pop blocks until an element is available; ok is false when the ring
-// is closed and drained, or the context is done. Like Push, a park arms
-// a context.AfterFunc waker so cancellation alone unblocks it.
+// is closed and drained, or the context is done. Like Push, a park is
+// covered by ctx's waker, so cancellation alone unblocks it.
 func (r *Ring[T]) Pop(ctx context.Context) (T, bool) {
 	if v, ok := r.TryPop(); ok {
 		return v, true
@@ -373,12 +416,6 @@ func (r *Ring[T]) Pop(ctx context.Context) (T, bool) {
 			return v, true
 		}
 	}
-	var stop func() bool
-	defer func() {
-		if stop != nil {
-			stop()
-		}
-	}()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
@@ -391,9 +428,7 @@ func (r *Ring[T]) Pop(ctx context.Context) (T, bool) {
 		if r.closed.Load() || ctx.Err() != nil {
 			return zero, false
 		}
-		if stop == nil && ctx.Done() != nil {
-			stop = context.AfterFunc(ctx, r.wakeAll)
-		}
+		r.arm(ctx)
 		r.popWait.Add(1)
 		if v, ok := r.tryPop(); ok {
 			r.popWait.Add(-1)

@@ -224,12 +224,15 @@ func TestStressCloseVsPushPop(t *testing.T) {
 			wg.Add(1)
 			go func(p int) {
 				defer wg.Done()
+				// The producer is the low bit: a producer on a loaded machine
+				// makes more than 2^20 attempts before Close lands, and
+				// p<<20|i then repeated the other producer's values.
 				for i := 0; ; i++ {
 					if r.Closed() {
 						return
 					}
-					if r.TryPush(p<<20 | i) {
-						accepted.Store(p<<20|i, true)
+					if r.TryPush(i<<1 | p) {
+						accepted.Store(i<<1|p, true)
 					}
 				}
 			}(p)
@@ -449,4 +452,91 @@ func TestParkedPushWokenByTryPop(t *testing.T) {
 		}
 		r.TryPop()
 	}
+}
+
+// A consumer that parks per burst must not allocate to do so: the
+// cancellation waker is armed once per (ring, context), not per park.
+// One cycle is: consumer parked in Pop under a cancellable context →
+// TryPush wakes it → it pops and parks again.
+func TestParkUnparkCycleZeroAllocs(t *testing.T) {
+	r := New[int](4, SingleConsumer)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got := make(chan int)
+	go func() {
+		for {
+			v, ok := r.Pop(ctx)
+			if !ok {
+				close(got)
+				return
+			}
+			got <- v
+		}
+	}()
+	cycle := func() {
+		for r.popWait.Load() == 0 {
+			runtime.Gosched()
+		}
+		if !r.TryPush(1) {
+			t.Error("push refused")
+		}
+		<-got
+	}
+	cycle() // the first park arms the waker: the one allocation there is
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("park/unpark cycle allocates %.1f times, want 0", allocs)
+	}
+	if n := armedWakers(r); n != 1 {
+		t.Errorf("%d wakers armed after 200 parks under one context, want 1", n)
+	}
+	cancel()
+	if _, ok := <-got; ok {
+		t.Error("consumer delivered after cancel")
+	}
+}
+
+// Callers parked on one ring under different contexts each keep the
+// cancel-without-Close contract: cancelling one returns that caller only,
+// its spent waker entry is dropped, and Close disarms the rest.
+func TestParkedCallersWithDifferentContexts(t *testing.T) {
+	r := New[int](1, MPMC)
+	ctxA, cancelA := context.WithCancel(context.Background())
+	ctxB, cancelB := context.WithCancel(context.Background())
+	defer cancelB()
+	doneA, doneB := make(chan bool, 1), make(chan bool, 1)
+	go func() { _, ok := r.Pop(ctxA); doneA <- ok }()
+	go func() { _, ok := r.Pop(ctxB); doneB <- ok }()
+	for r.popWait.Load() != 2 {
+		runtime.Gosched()
+	}
+	cancelA()
+	select {
+	case ok := <-doneA:
+		if ok {
+			t.Error("cancelled Pop reported success")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Pop under the cancelled context hung")
+	}
+	select {
+	case ok := <-doneB:
+		t.Fatalf("Pop under the live context returned %v", ok)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if n := armedWakers(r); n != 1 {
+		t.Errorf("%d wakers armed after one of two contexts fired, want 1", n)
+	}
+	r.Close()
+	if ok := <-doneB; ok {
+		t.Error("Pop on closed empty ring reported success")
+	}
+	if n := armedWakers(r); n != 0 {
+		t.Errorf("%d wakers still armed after Close, want 0", n)
+	}
+}
+
+func armedWakers(r *Ring[int]) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.wakers)
 }

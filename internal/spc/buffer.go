@@ -49,6 +49,10 @@ func (b *Buffer) Len() int { return b.r.Len() }
 // Cap returns the capacity.
 func (b *Buffer) Cap() int { return b.r.Cap() }
 
+// Admitted returns how many SDOs the buffer has ever accepted. The Δt
+// scheduler differences it across ticks to count an interval's arrivals.
+func (b *Buffer) Admitted() uint64 { return b.r.Pushed() }
+
 // TryPush appends s if space is available and reports success.
 func (b *Buffer) TryPush(s sdo.SDO) bool { return b.r.TryPush(s) }
 
@@ -60,9 +64,9 @@ func (b *Buffer) Push(ctx context.Context, s sdo.SDO) bool { return b.r.Push(ctx
 
 // Pop blocks until an SDO is available; ok is false when the buffer is
 // closed and drained, or the context is done. Like Push, a blocked Pop
-// arms a cancellation waker — cancelling the context alone unblocks it
-// (the PR 3 implementation armed the waker only on the push side, so a
-// cancelled consumer on an idle buffer hung forever).
+// is covered by a cancellation waker — cancelling the context alone
+// unblocks it (the PR 3 implementation armed the waker only on the push
+// side, so a cancelled consumer on an idle buffer hung forever).
 func (b *Buffer) Pop(ctx context.Context) (s sdo.SDO, ok bool) { return b.r.Pop(ctx) }
 
 // TryPop removes the head SDO without blocking.

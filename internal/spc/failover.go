@@ -87,9 +87,10 @@ func (c *Cluster) StartFailover(fc FailoverConfig) error {
 			}
 			term, err := c.ClaimControl()
 			if err != nil {
-				// Only a malformed warm start can land here, and the claim
-				// re-installs the ALREADY-INSTALLED set — so this is
-				// unreachable short of memory corruption. Keep watching.
+				// A newer controller's frame landed between the deadline
+				// check and the install (it also reset the silence clock).
+				// A malformed warm start cannot happen: the claim
+				// re-installs the ALREADY-INSTALLED set. Keep watching.
 				continue
 			}
 			if fc.OnClaim != nil {
@@ -105,35 +106,36 @@ func (c *Cluster) StartFailover(fc FailoverConfig) error {
 }
 
 // ClaimControl claims the next controller term for this process: it
-// raises the local controller term above both the applied set's term and
-// any term this process claimed before, then re-installs the last
-// applied targets under (newTerm, epoch+1) and broadcasts them — the
+// raises the local controller term once, above both the applied set's
+// term and any term this process claimed before, then re-installs the
+// last applied targets under (newTerm, epoch+1) and broadcasts them — the
 // takeover epoch every receiver's fencing rule will prefer over anything
 // the deposed controller sends afterward. Warm-starting from the applied
 // set makes the takeover itself a no-op for the data plane; the adaptive
 // loop then evolves targets from there. Safe to call concurrently with
-// in-flight SetTargets/Inject*/Broadcast traffic: a lost install race is
-// retried against the new incumbent. Returns the claimed term.
+// in-flight SetTargets/Inject*/Broadcast traffic: an install that loses
+// the epoch race to same-term traffic is retried under the SAME term, so
+// one claim burns one term however many installs it takes. Returns the
+// claimed term, or ErrDeposedTerm when a still newer controller's frame
+// landed first — that controller is alive, and outbidding it is the next
+// silence deadline's business, not this claim's.
 func (c *Cluster) ClaimControl() (uint64, error) {
+	// CAS-max: concurrent claims or a racing SetTargets must never observe
+	// the term moving backward, and two claims never share a term.
+	var term uint64
 	for {
-		cur := c.targets.Load()
-		term := cur.term
-		if ct := c.ctrlTerm.Load(); ct > term {
-			term = ct
+		old := c.ctrlTerm.Load()
+		term = old
+		if t := c.targets.Load().term; t > term {
+			term = t
 		}
 		term++
-		// Raise ctrlTerm monotonically (CAS-max): concurrent claims or a
-		// racing SetTargets must never observe the term moving backward.
-		for {
-			old := c.ctrlTerm.Load()
-			if old >= term {
-				term = old
-				break
-			}
-			if c.ctrlTerm.CompareAndSwap(old, term) {
-				break
-			}
+		if c.ctrlTerm.CompareAndSwap(old, term) {
+			break
 		}
+	}
+	for {
+		cur := c.targets.Load()
 		var err error
 		if cur.rep != nil {
 			err = c.SetReplicaTargets(cur.epoch+1, cur.rep)
@@ -141,16 +143,16 @@ func (c *Cluster) ClaimControl() (uint64, error) {
 			err = c.SetTargets(cur.epoch+1, cur.cpu)
 		}
 		if err == nil {
-			// The install may have been stamped with an even newer term by
-			// a concurrent claim; report what is actually applied.
+			// The install is stamped with the controller term current at
+			// that instant, which a concurrent claim may have raised past
+			// ours; report what is actually applied.
 			if t := c.targets.Load().term; t > term {
 				term = t
 			}
 			return term, nil
 		}
-		if errors.Is(err, ErrStaleEpoch) {
-			// Lost the install race (a concurrent claim or a late frame
-			// from a higher term landed first); retry against it.
+		if errors.Is(err, ErrStaleEpoch) && !errors.Is(err, ErrDeposedTerm) {
+			// Same-term traffic took epoch+1 first; go again above it.
 			continue
 		}
 		return 0, err

@@ -210,6 +210,12 @@ func (c *Cluster) applyEpoch(peers []*peRuntime, tgt *targetSet) {
 			if pr.wasActive && !active {
 				c.drainReplica(pr, tgt)
 			}
+			if active && !pr.wasActive {
+				// What the slot admitted before going dormant (or had
+				// drained back into it) is not the arrival rate of its
+				// first active interval.
+				pr.admitSeen = pr.buf.Admitted()
+			}
 			pr.wasActive = active
 		}
 	}

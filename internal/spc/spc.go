@@ -221,6 +221,9 @@ type peRuntime struct {
 	// under the last applied epoch (scheduler-owned; drives the drain on
 	// an active → inactive transition).
 	wasActive bool
+	// admitSeen is buf.Admitted() as read at the last tick; the next tick's
+	// reading minus this one is the interval's arrivals.
+	admitSeen uint64
 }
 
 // occupancy counts buffered plus held SDOs.
@@ -236,18 +239,28 @@ func (p *peRuntime) cost(now float64) float64 {
 	return p.mcost.estimate()
 }
 
-// grant deposits CPU budget and wakes the PE goroutine. Budget is capped
-// so a starved PE cannot bank unbounded entitlement (the token bucket is
-// the sanctioned accumulator).
+// grant deposits CPU budget and wakes the PE goroutine.
 func (p *peRuntime) grant(b float64) {
-	const budgetCap = 0.25
 	p.mu.Lock()
 	p.budget += b
-	if p.budget > budgetCap {
-		p.budget = budgetCap
-	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
+}
+
+// reclaim takes back the budget the PE has not spent, less keep, and
+// returns the amount taken. The scheduler keeps one SDO's cost with the
+// PE: a PE whose per-tick grants are smaller than an SDO saves up for it
+// there, and nothing larger can bank outside the token bucket.
+func (p *peRuntime) reclaim(keep float64) float64 {
+	p.mu.Lock()
+	back := p.budget - keep
+	if back > 0 {
+		p.budget = keep
+	} else {
+		back = 0
+	}
+	p.mu.Unlock()
+	return back
 }
 
 // safeFeedback is a mutex-guarded wrapper of controller.Feedback shared by
@@ -1156,12 +1169,25 @@ func (c *Cluster) schedulerTick(peers []*peRuntime, scr *schedScratch, now, dt f
 		}
 		cost := pr.cost(now)
 		costs[i] = cost
+		// Settle the interval just ended before planning the next: what
+		// the PE did not spend of its last grant goes back into its bucket
+		// (budget is CPU-seconds, tokens are fractions of a nominal Δt),
+		// so the bucket stays the only place entitlement accumulates.
+		pr.bucket.Refund(pr.reclaim(cost) / c.cfg.Dt)
 		occ := float64(pr.occupancy())
 		if pr.gOcc != nil {
 			pr.gOcc.Set(occ)
 			pr.gTokens.Set(pr.bucket.Level())
 		}
-		work := occ * cost / dt
+		// The grant has to last until the next tick, so it covers what is
+		// queued now plus what will arrive meanwhile — taken to be as many
+		// SDOs as the interval just ended admitted. A PE that is empty at
+		// the tick instant but fed steadily can then serve SDOs as they
+		// arrive instead of one tick late.
+		admitted := pr.buf.Admitted()
+		arrivals := float64(admitted - pr.admitSeen)
+		pr.admitSeen = admitted
+		work := (occ + arrivals) * cost / dt
 		capFrac := math.Inf(1)
 		mult := 1.0
 		if syn, ok := pr.proc.(*Synthetic); ok {

@@ -245,7 +245,11 @@ func TestResilientFallsBackAgainstOldPeer(t *testing.T) {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return srv.frames.Load() == total }, "fallback frames delivered")
+	// The writer counts a frame after its write returns, which can be after
+	// the server has already read it: wait for both ends.
+	waitFor(t, 5*time.Second, func() bool {
+		return srv.frames.Load() == total && rc.Stats().FramesSent == total
+	}, "fallback frames delivered")
 	st := rc.Stats()
 	if st.BatchesSent != 0 || st.BatchedFrames != 0 {
 		t.Errorf("batches sent to a peer that never advertised support: %+v", st)

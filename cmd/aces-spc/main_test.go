@@ -2,10 +2,12 @@ package main
 
 import (
 	"encoding/json"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"aces"
 )
@@ -19,30 +21,42 @@ func TestLocalMode(t *testing.T) {
 	}
 }
 
+// freeLoopbackAddr asks the kernel for an unused loopback port and
+// releases it for the code under test to bind.
+func freeLoopbackAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
 func TestSendRecvOverLoopback(t *testing.T) {
-	// Receiver on a random port; we discover it by racing a fixed port is
-	// flaky, so use a fixed high port and retry-free local loopback.
-	const addr = "127.0.0.1:39271"
-	var wg sync.WaitGroup
-	wg.Add(1)
+	addr := freeLoopbackAddr(t)
 	errCh := make(chan error, 1)
 	go func() {
-		defer wg.Done()
 		errCh <- run([]string{"-mode", "recv", "-listen", addr})
 	}()
-	// Dial retries are built into the sender? No — poll until the listener
-	// is up by attempting sends.
-	var sendErr error
-	for attempt := 0; attempt < 50; attempt++ {
-		sendErr = run([]string{"-mode", "send", "-connect", addr, "-rate", "20000", "-count", "500"})
+	// The sender does not redial, and on a loaded box the receiver
+	// goroutine may not have bound yet: retry until a deadline.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		sendErr := run([]string{"-mode", "send", "-connect", addr, "-rate", "20000", "-count", "500"})
 		if sendErr == nil {
 			break
 		}
+		select {
+		case err := <-errCh:
+			t.Fatalf("recv ended before any send succeeded: %v (last send error: %v)", err, sendErr)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("send never succeeded: %v", sendErr)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	if sendErr != nil {
-		t.Fatalf("send never succeeded: %v", sendErr)
-	}
-	wg.Wait()
 	if err := <-errCh; err != nil {
 		t.Fatalf("recv: %v", err)
 	}

@@ -112,13 +112,16 @@ type PETick struct {
 	// Occupancy is the input-buffer fill in SDOs (the congestion signal
 	// the planner shares CPU proportionally to).
 	Occupancy float64
-	// Work is the most CPU the PE could use this tick; the planner never
-	// allocates beyond it. The simulator, whose PEs run only at the tick,
-	// passes the fraction that drains the input buffer as it stands. The
-	// live runtime, whose PEs run between ticks as SDOs arrive, passes
-	// that plus the cost of as many arrivals as the interval just ended
-	// brought, and takes back what the PE left unspent at the next tick
-	// (see spc.schedulerTick).
+	// Work is the forecast of the CPU the PE can use this tick. It divides a
+	// node that is short: the planner allocates no more than Work, so banked
+	// buckets that add up to several nodes do not make an idle node look
+	// oversubscribed. It is not a ceiling on what the PE may run: Lend hands
+	// out the capacity the plan leaves over up to the PE's entitlement,
+	// whatever Work said. The simulator, whose PEs run only at the tick,
+	// passes the fraction that drains the input buffer as it stands (exact
+	// there, so it never lends). The live runtime, whose PEs run between
+	// ticks as SDOs arrive, passes that plus the cost of as many arrivals as
+	// the interval just ended brought (see spc.schedulerTick).
 	Work float64
 	// Cap is the CPU fraction implied by the downstream feedback bound
 	// (Eq. 8 mapped through g⁻¹); math.Inf(1) when unconstrained.
@@ -136,7 +139,12 @@ type PETick struct {
 type Planner struct {
 	alloc []float64
 	want  []float64
+	lend  []float64
 	flags []bool
+	// byTokens records which entitlement the last plan enforced: the token
+	// level (PlanACES) or the tier-1 target (every other planner). Lend
+	// reads it, so a caller lends under the rule it planned under.
+	byTokens bool
 }
 
 // scratch returns zeroed n-length scratch slices, growing the backing
@@ -145,12 +153,14 @@ func (p *Planner) scratch(n int) (alloc, want []float64, flags []bool) {
 	if cap(p.alloc) < n {
 		p.alloc = make([]float64, n)
 		p.want = make([]float64, n)
+		p.lend = make([]float64, n)
 		p.flags = make([]bool, n)
 	}
 	p.alloc, p.want, p.flags = p.alloc[:n], p.want[:n], p.flags[:n]
 	clear(p.alloc)
 	clear(p.want)
 	clear(p.flags)
+	p.byTokens = false
 	return p.alloc, p.want, p.flags
 }
 
@@ -168,6 +178,7 @@ func PlanACES(pes []PETick, capacity float64) []float64 {
 // PlanACES is the scratch-reusing form of the package function.
 func (p *Planner) PlanACES(pes []PETick, capacity float64) []float64 {
 	alloc, want, active := p.scratch(len(pes))
+	p.byTokens = true
 	var total float64
 	for i := range pes {
 		w := math.Min(pes[i].Tokens, math.Min(pes[i].Work, pes[i].Cap))
@@ -398,6 +409,63 @@ func (p *Planner) PlanStrict(pes []PETick, capacity float64) []float64 {
 		used += g
 	}
 	return alloc
+}
+
+// lendFloor is the leftover below which a node counts as fully allocated:
+// the planners stop filling at 1e-15 per step, and summing a node's
+// allocations again rounds by about that much per PE.
+const lendFloor = 1e-12
+
+// Lend is the pass that follows a plan: it hands the capacity the plan
+// left unallocated to the PEs that are entitled to more than the plan gave
+// them, so a PE on a node with idle CPU is not held to its Work forecast
+// when more arrives than the last interval brought. A PE's ceiling is the
+// bound the plan enforced with Work left out — min(Tokens, Cap) after
+// PlanACES, min(Target, Cap) after the Target-enforcing planners, 0 when
+// Blocked — and its room is ceiling − alloc. Every PE gets its whole room
+// when the leftover covers all of them, the same fraction of it otherwise:
+//
+//	lend[i] = room[i] · min(1, leftover / Σ room)
+//
+// so alloc + lend never exceeds a PE's entitlement or its Eq. 8 cap, and
+// Σ(alloc + lend) never exceeds capacity. A token-bound PE has no room and
+// an oversubscribed node no leftover: under overload Lend returns zeros.
+//
+// pes and capacity must be the ones just planned; the allocations are read
+// from the planner's own scratch. The returned slice aliases scratch too
+// and is valid until the next call on the same Planner.
+func (p *Planner) Lend(pes []PETick, capacity float64) []float64 {
+	alloc := p.alloc[:len(pes)]
+	lend := p.lend[:len(pes)]
+	clear(lend)
+	leftover := capacity
+	for _, a := range alloc {
+		leftover -= a
+	}
+	if leftover < lendFloor {
+		return lend
+	}
+	var rooms float64
+	for i := range pes {
+		if pes[i].Blocked {
+			continue
+		}
+		ceiling := pes[i].Target
+		if p.byTokens {
+			ceiling = pes[i].Tokens
+		}
+		if room := math.Min(ceiling, pes[i].Cap) - alloc[i]; room > 0 {
+			lend[i] = room
+			rooms += room
+		}
+	}
+	if rooms > leftover {
+		scale := leftover / rooms
+		for i := range lend {
+			lend[i] *= scale
+		}
+	}
+	return lend
 }
 
 // RateToCPU converts an output-rate bound (SDOs per tick) into the CPU

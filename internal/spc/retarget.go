@@ -208,13 +208,21 @@ func (c *Cluster) applyEpoch(peers []*peRuntime, tgt *targetSet) {
 			// replicas the new epoch's ring elects.
 			active := slot > 0
 			if pr.wasActive && !active {
+				// The tick skips a dormant slot before its settlement, so
+				// the slot's last grant goes back into its bucket here:
+				// asleep it holds the drain's grant and nothing else, and a
+				// later activation starts from the bucket alone.
+				c.settle(pr, 0)
 				c.drainReplica(pr, tgt)
 			}
 			if active && !pr.wasActive {
 				// What the slot admitted before going dormant (or had
 				// drained back into it) is not the arrival rate of its
-				// first active interval.
+				// first active interval. Nor is what is left of the drain's
+				// grant entitlement: it was never debited, so it is dropped
+				// rather than settled, and the slot starts from its bucket.
 				pr.admitSeen = pr.buf.Admitted()
+				pr.reclaim(0, 0)
 			}
 			pr.wasActive = active
 		}

@@ -186,7 +186,7 @@ type peRuntime struct {
 	// Telemetry handles (nil when Config.Telemetry is unset). Gauges are
 	// sampled by the scheduler; the shed counter is bumped on drop paths.
 	gOcc, gTokens, gRmax, gGrant *obs.Gauge
-	gTarget                      *obs.Gauge
+	gTarget, gLent               *obs.Gauge
 	cSheds                       *obs.Counter
 	cRestarts                    *obs.Counter
 	gBreaker                     *obs.Gauge
@@ -224,6 +224,10 @@ type peRuntime struct {
 	// admitSeen is buf.Admitted() as read at the last tick; the next tick's
 	// reading minus this one is the interval's arrivals.
 	admitSeen uint64
+	// lent is the part of the last grant that was the node's idle CPU and
+	// not the PE's allocation, in CPU-seconds: in the PE's budget, not yet
+	// debited from its bucket. settle clears it.
+	lent float64
 }
 
 // occupancy counts buffered plus held SDOs.
@@ -247,20 +251,23 @@ func (p *peRuntime) grant(b float64) {
 	p.mu.Unlock()
 }
 
-// reclaim takes back the budget the PE has not spent, less keep, and
-// returns the amount taken. The scheduler keeps one SDO's cost with the
-// PE: a PE whose per-tick grants are smaller than an SDO saves up for it
-// there, and nothing larger can bank outside the token bucket.
-func (p *peRuntime) reclaim(keep float64) float64 {
+// reclaim ends an interval's grant, of which loan CPU-seconds were lent.
+// The loan is spent last and none of it stays: the PE keeps what is left
+// of its own allocation up to keep, everything else is taken back. The
+// result is what the bucket is owed: the unspent allocation beyond keep,
+// or, negative, the part of the loan the PE used. The scheduler keeps one
+// SDO's cost with the PE: a PE whose per-tick allocations are smaller than
+// an SDO saves up for it there, and nothing larger can bank outside the
+// token bucket.
+func (p *peRuntime) reclaim(keep, loan float64) float64 {
 	p.mu.Lock()
-	back := p.budget - keep
-	if back > 0 {
-		p.budget = keep
-	} else {
-		back = 0
+	if own := p.budget - loan; own < keep {
+		keep = math.Max(own, 0)
 	}
+	back := p.budget - keep
+	p.budget = keep
 	p.mu.Unlock()
-	return back
+	return back - loan
 }
 
 // safeFeedback is a mutex-guarded wrapper of controller.Feedback shared by
@@ -596,6 +603,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				pr.gTokens = c.reg.Gauge("tokens", labels)
 				pr.gRmax = c.reg.Gauge("rmax", labels)
 				pr.gGrant = c.reg.Gauge("cpu_grant", labels)
+				pr.gLent = c.reg.Gauge("cpu_lent", labels)
 				pr.gTarget = c.reg.Gauge("target_cpu", labels)
 				pr.gTarget.Set(target0)
 				pr.cSheds = c.reg.Counter("sheds_total", labels)
@@ -979,6 +987,11 @@ func newSchedScratch(n int) *schedScratch {
 // whole 1.0.
 func newShardScratch(nPeers, node, nodeLen int) *schedScratch {
 	scr := newSchedScratch(nPeers)
+	// No epoch applied yet, whatever the cluster's first one is numbered:
+	// the first tick folds it in, which is where a shard learns its share.
+	// Planning against the default share of 1 until the first retarget
+	// would promise the node once per shard.
+	scr.appliedEpoch = math.MaxUint64
 	scr.sharded = true
 	scr.node = node
 	scr.nodeLen = nodeLen
@@ -1119,6 +1132,26 @@ func (c *Cluster) runScheduler(n, shard, shards int) {
 	}
 }
 
+// settle closes the interval a PE was last granted for (scheduler goroutine
+// only): what the PE did not spend of its allocation beyond keep goes back
+// into its bucket, the unused loan goes back to the node, and the part of
+// the loan the PE used is debited now (budget is CPU-seconds, tokens are
+// fractions of a nominal Δt). The bucket stays the only place entitlement
+// accumulates: at every tick boundary
+//
+//	bucket + (budget − lent)/Δt = the level of a bucket never granted from
+//
+// less what the PE actually ran, and after settle budget ≤ keep, lent = 0.
+func (c *Cluster) settle(pr *peRuntime, keep float64) {
+	net := pr.reclaim(keep, pr.lent) / c.cfg.Dt
+	pr.lent = 0
+	if net < 0 {
+		pr.bucket.Spend(-net)
+	} else {
+		pr.bucket.Refund(net)
+	}
+}
+
 // schedulerTick runs one planning period for a node's PEs: sample state,
 // plan the allocation, grant CPU, and publish flow-control feedback. It
 // is factored out of runScheduler so tests can drive it directly and
@@ -1169,11 +1202,8 @@ func (c *Cluster) schedulerTick(peers []*peRuntime, scr *schedScratch, now, dt f
 		}
 		cost := pr.cost(now)
 		costs[i] = cost
-		// Settle the interval just ended before planning the next: what
-		// the PE did not spend of its last grant goes back into its bucket
-		// (budget is CPU-seconds, tokens are fractions of a nominal Δt),
-		// so the bucket stays the only place entitlement accumulates.
-		pr.bucket.Refund(pr.reclaim(cost) / c.cfg.Dt)
+		// Close the interval just ended before planning the next.
+		c.settle(pr, cost)
 		occ := float64(pr.occupancy())
 		if pr.gOcc != nil {
 			pr.gOcc.Set(occ)
@@ -1236,6 +1266,10 @@ func (c *Cluster) schedulerTick(peers []*peRuntime, scr *schedScratch, now, dt f
 		// PEs' slices are redistributed.
 		alloc = scr.planner.PlanLockStep(ticks, scr.capShare)
 	}
+	// The plan divided the node by forecast; what it left over is lent, up
+	// to each PE's entitlement, so an interval that brings more than the
+	// last one is served as it arrives instead of at the next tick.
+	lend := scr.planner.Lend(ticks, scr.capShare)
 	for i, pr := range peers {
 		if pr.parked {
 			// The breaker already advertised r_max = 0; nothing to earn,
@@ -1251,9 +1285,13 @@ func (c *Cluster) schedulerTick(peers []*peRuntime, scr *schedScratch, now, dt f
 		pr.bucket.Spend(alloc[i] * elapsedTicks)
 		if pr.gGrant != nil {
 			pr.gGrant.Set(alloc[i])
+			pr.gLent.Set(lend[i])
 		}
-		if alloc[i] > 0 {
-			pr.grant(alloc[i] * dt)
+		// The loan rides in the same grant but is not debited here: settle
+		// charges the bucket at the next tick for the part the PE used.
+		pr.lent = lend[i] * dt
+		if alloc[i]+lend[i] > 0 {
+			pr.grant(alloc[i]*dt + pr.lent)
 		}
 		if pol.UsesFeedback() {
 			var rmax float64

@@ -259,12 +259,16 @@ func (p *PanicInjector) NextCost(now float64) float64 {
 }
 
 // parkPE applies a tripped circuit breaker (scheduler goroutine only):
-// the token bucket stops earning and is drained — the planner sees the PE
-// blocked, so the share flows to co-located PEs — and r_max = 0 goes on
-// the local board and over the uplink so upstreams route around the
-// corpse instead of treating its silence as unconstrained.
+// the last grant is settled, the token bucket stops earning and is drained
+// — the planner sees the PE blocked, so the share flows to co-located PEs
+// — and r_max = 0 goes on the local board and over the uplink so upstreams
+// route around the corpse instead of treating its silence as
+// unconstrained.
 func (c *Cluster) parkPE(pr *peRuntime, pol policy.Policy) {
 	pr.parked = true
+	// The tick skips a parked PE before its settlement, so its last grant
+	// is closed here or never: no budget and no loan outlive the breaker.
+	c.settle(pr, 0)
 	pr.bucket.SetRate(0)
 	pr.bucket.Spend(pr.bucket.Level())
 	c.fb.markDown(pr.key, true)

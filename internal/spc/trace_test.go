@@ -126,6 +126,7 @@ func TestCrossNodeTraceOverTCP(t *testing.T) {
 		"rmax{node=1,pe=3}",
 		"tokens{node=1,pe=2}",
 		"cpu_grant{node=1,pe=3}",
+		"cpu_lent{node=1,pe=3}",
 	} {
 		if !keys[want] {
 			t.Errorf("telemetry snapshot missing %q (have %d keys)", want, len(keys))

@@ -77,8 +77,8 @@ func wireTestSDO() sdo.SDO {
 // bytes ride the frame, which is what pushes a full large batch past the
 // transport's gathered-write thresholds (both total size and mean member
 // size), so the mode measures the writev path end to end. The receiver's
-// decode copies the payload out of the read buffer, so this row's
-// allocs/SDO is expected to sit near 2, not 0.
+// decode copies payloads into one slab per 32 KiB and boxes each into
+// SDO.Payload, so this row's allocs/SDO is expected to sit near 1, not 0.
 func wirePayloadSDO() sdo.SDO {
 	s := wireTestSDO()
 	s.Payload = make([]byte, 512)

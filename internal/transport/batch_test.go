@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
 	"sync/atomic"
@@ -108,66 +109,61 @@ func TestHelloRecordsPeerFeatures(t *testing.T) {
 	}
 }
 
-// TestBatchDecodeErrors drives the decoder with hand-built malformed batch
-// frames; each must surface a protocol error, never a panic or a silent
-// mis-parse.
-func TestBatchDecodeErrors(t *testing.T) {
-	// validMember is a minimal data member: kind + length + 36-byte body.
+// malformedBatch is a hand-built batch body the decoder must refuse.
+type malformedBatch struct {
+	name string
+	body []byte
+}
+
+// malformedBatches is the table behind TestBatchDecodeErrors and the
+// seed corpus of FuzzDecodeBatch.
+func malformedBatches(tb testing.TB) []malformedBatch {
+	// validMember is a minimal data member: kind + length + 44-byte body.
 	validMember := func() []byte {
 		body, err := encodeSDO(nil, sdo.SDO{Seq: 1, Origin: time.Unix(0, 1)})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		m := []byte{byte(KindData), 0, 0, 0, byte(len(body))}
 		return append(m, body...)
 	}
-	cases := []struct {
-		name string
-		body func() []byte
-	}{
-		{"short frame", func() []byte { return []byte{0, 0} }},
-		{"zero count", func() []byte { return []byte{0, 0, 0, 0} }},
-		{"count beyond limit", func() []byte {
-			b := make([]byte, 4)
-			binary.BigEndian.PutUint32(b, maxBatchMembers+1)
-			return b
-		}},
-		{"truncated member header", func() []byte {
-			return []byte{0, 0, 0, 1, byte(KindData), 0}
-		}},
-		{"member overruns frame", func() []byte {
-			return []byte{0, 0, 0, 1, byte(KindData), 0, 0, 0, 100, 1, 2, 3}
-		}},
-		{"trailing bytes", func() []byte {
-			b := append([]byte{0, 0, 0, 1}, validMember()...)
-			return append(b, 0xEE)
-		}},
-		{"feedback member", func() []byte {
-			m := []byte{byte(KindFeedback), 0, 0, 0, 12}
-			m = append(m, make([]byte, 12)...)
-			return append([]byte{0, 0, 0, 1}, m...)
-		}},
-		{"nested batch member", func() []byte {
-			m := []byte{byte(KindBatch), 0, 0, 0, 4, 0, 0, 0, 1}
-			return append([]byte{0, 0, 0, 1}, m...)
-		}},
-		{"corrupt member body", func() []byte {
-			m := []byte{byte(KindData), 0, 0, 0, 3, 1, 2, 3}
-			return append([]byte{0, 0, 0, 1}, m...)
-		}},
+	one := func(member ...byte) []byte { return append([]byte{0, 0, 0, 1}, member...) }
+	return []malformedBatch{
+		{"short frame", []byte{0, 0}},
+		{"zero count", []byte{0, 0, 0, 0}},
+		{"count beyond limit", binary.BigEndian.AppendUint32(nil, maxBatchMembers+1)},
+		{"truncated member header", one(byte(KindData), 0)},
+		{"member overruns frame", one(byte(KindData), 0, 0, 0, 100, 1, 2, 3)},
+		{"trailing bytes", append(one(validMember()...), 0xEE)},
+		{"feedback member", one(append([]byte{byte(KindFeedback), 0, 0, 0, 12}, make([]byte, 12)...)...)},
+		{"nested batch member", one(byte(KindBatch), 0, 0, 0, 4, 0, 0, 0, 1)},
+		{"corrupt member body", one(byte(KindData), 0, 0, 0, 3, 1, 2, 3)},
+		{"corrupt member after a valid one", append(append([]byte{0, 0, 0, 2}, validMember()...), byte(KindData), 0, 0, 0, 3, 1, 2, 3)},
 	}
-	for _, tc := range cases {
+}
+
+// TestBatchDecodeErrors drives the decoder with hand-built malformed batch
+// frames; each must surface a protocol error, never a panic or a silent
+// mis-parse, and a refused batch must deliver none of its members: the
+// decoder used to stage members as it went, so the Recv after "trailing
+// bytes" handed out the member of the frame it had just rejected.
+func TestBatchDecodeErrors(t *testing.T) {
+	for _, tc := range malformedBatches(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			raw, framed := rawPair(t)
-			body := tc.body()
-			hdr := make([]byte, 5)
-			hdr[0] = byte(KindBatch)
-			binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
-			if _, err := raw.Write(append(hdr, body...)); err != nil {
+			hdr := []byte{byte(KindBatch), 0, 0, 0, 0}
+			binary.BigEndian.PutUint32(hdr[1:], uint32(len(tc.body)))
+			if _, err := raw.Write(append(hdr, tc.body...)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := framed.Recv(); err == nil {
 				t.Error("malformed batch accepted")
+			}
+			// Nothing else was written, so with the writer gone the next
+			// Recv can only end in EOF.
+			raw.Close()
+			if msg, err := framed.Recv(); err == nil {
+				t.Errorf("rejected batch delivered a member on the next Recv: %+v", msg)
 			}
 		})
 	}
@@ -410,4 +406,132 @@ func TestLargeBatchGatheredWrite(t *testing.T) {
 			t.Fatalf("second batch member %d arrived with seq %d", i, m.SDO.Seq)
 		}
 	}
+}
+
+// batchBody encodes members as a KindBatch frame body, the way sendBatch
+// lays them out on the wire.
+func batchBody(members []outFrame) []byte {
+	body := binary.BigEndian.AppendUint32(nil, uint32(len(members)))
+	for _, m := range members {
+		body = append(body, byte(m.kind))
+		body = binary.BigEndian.AppendUint32(body, uint32(len(m.body)))
+		body = append(body, m.body...)
+	}
+	return body
+}
+
+// TestBatchPayloadSlab covers what sharing one slab per frame could break:
+// header-only and payload members mixed in one batch, a payload above the
+// slab cap, an append on one payload reaching its neighbour, and a view
+// outliving the pooled frame body it was copied from.
+func TestBatchPayloadSlab(t *testing.T) {
+	client, server := pair(t)
+	origin := time.Unix(0, 1)
+	sizes := []int{512, 0, 512, slabCap + 1, 0, 100, slabCap, 7}
+	send := func(base byte) {
+		t.Helper()
+		members := make([]outFrame, len(sizes))
+		for i, n := range sizes {
+			s := sdo.SDO{Stream: 1, Seq: uint64(i), Origin: origin}
+			if n > 0 {
+				s.Payload = bytes.Repeat([]byte{base + byte(i)}, n)
+			}
+			members[i] = member(t, KindRouted, sdo.PEID(i), s)
+		}
+		if err := client.sendBatch(members, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func(base byte) [][]byte {
+		t.Helper()
+		got := make([][]byte, len(sizes))
+		for i, n := range sizes {
+			m, err := server.Recv()
+			if err != nil {
+				t.Fatalf("member %d: %v", i, err)
+			}
+			if m.Kind != KindRouted || m.To != sdo.PEID(i) || m.SDO.Seq != uint64(i) {
+				t.Fatalf("member %d arrived as kind %v to %d seq %d", i, m.Kind, m.To, m.SDO.Seq)
+			}
+			if n == 0 {
+				if m.SDO.Payload != nil || m.SDO.Bytes != 1 {
+					t.Fatalf("header-only member %d decoded with payload %v, bytes %d", i, m.SDO.Payload, m.SDO.Bytes)
+				}
+				continue
+			}
+			p, ok := m.SDO.Payload.([]byte)
+			if !ok || m.SDO.Bytes != n || !bytes.Equal(p, bytes.Repeat([]byte{base + byte(i)}, n)) {
+				t.Fatalf("member %d payload mangled: %T, %d bytes, SDO.Bytes %d", i, m.SDO.Payload, len(p), m.SDO.Bytes)
+			}
+			if cap(p) != len(p) {
+				t.Errorf("member %d payload has cap %d beyond its len %d: an append would write into the slab", i, cap(p), len(p))
+			}
+			got[i] = p
+		}
+		return got
+	}
+	send(1)
+	first := recv(1)
+	// Appending to one payload must leave its slab neighbour intact.
+	_ = append(first[0], bytes.Repeat([]byte{0xFF}, 600)...)
+	// The second frame of the same size reuses the pooled frame body; the
+	// first frame's payloads must not be views into it.
+	send(101)
+	recv(101)
+	for i, n := range sizes {
+		if n > 0 && !bytes.Equal(first[i], bytes.Repeat([]byte{1 + byte(i)}, n)) {
+			t.Errorf("payload %d of the first frame changed after an append on payload 0 and the next frame's decode", i)
+		}
+	}
+}
+
+// FuzzDecodeBatch feeds the batch decoder arbitrary bodies: it parses bytes
+// from outside the process, so it must never panic, must be all-or-nothing
+// (an error leaves no member pending) and must never hold more payload
+// bytes than the frame carried.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, tc := range malformedBatches(f) {
+		f.Add(tc.body)
+	}
+	s := sdo.SDO{Stream: 3, Seq: 9, Origin: time.Unix(0, 5), Hops: 1, Trace: 2, Key: 4}
+	small, err := encodeSDO(nil, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s.Payload = bytes.Repeat([]byte{7}, 300)
+	routed, err := encodeRouted(nil, 5, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	replica, err := encodeReplica(nil, 5, 2, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(batchBody([]outFrame{{kind: KindData, body: small}}))
+	f.Add(batchBody([]outFrame{{kind: KindRouted, body: routed}, {kind: KindData, body: small}, {kind: KindReplica, body: replica}}))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var c Conn
+		err := c.decodeBatch(body)
+		pending := c.pending[c.pendHead:]
+		if err != nil {
+			if len(pending) != 0 {
+				t.Fatalf("rejected batch (%v) left %d members pending", err, len(pending))
+			}
+			return
+		}
+		if want := binary.BigEndian.Uint32(body); uint32(len(pending)) != want {
+			t.Fatalf("accepted batch of %d members staged %d", want, len(pending))
+		}
+		held := 0
+		for i := range pending {
+			p, _ := pending[i].sdo.Payload.([]byte)
+			if cap(p) != len(p) || (len(p) > 0 && pending[i].sdo.Bytes != len(p)) {
+				t.Fatalf("member %d: payload len %d cap %d, SDO.Bytes %d", i, len(p), cap(p), pending[i].sdo.Bytes)
+			}
+			held += cap(p)
+		}
+		if held > len(body) {
+			t.Fatalf("payloads hold %d bytes, the frame carried %d", held, len(body))
+		}
+	})
 }

@@ -108,6 +108,47 @@ func TestDecodePathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBatchDecodeAllocsPerFrame gates the receive side of a payload batch:
+// what a frame costs beyond one interface box per payload member (the
+// []byte boxed into SDO.Payload) is its slabs, one per slabCap payload
+// bytes, not one allocation per payload. A header-only batch costs nothing.
+func TestBatchDecodeAllocsPerFrame(t *testing.T) {
+	for _, plen := range []int{512, 0} {
+		const n = 256
+		s := wireSDO()
+		if plen > 0 {
+			s.Payload, s.Bytes = make([]byte, plen), plen
+		}
+		mbody, err := encodeRouted(nil, 3, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := make([]outFrame, n)
+		for i := range members {
+			members[i] = outFrame{kind: KindRouted, body: mbody}
+		}
+		body := batchBody(members)
+		var c Conn
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := c.decodeBatch(body); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ { // staged members are served without touching the reader
+				if _, err := c.Recv(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		want := 0
+		if plen > 0 {
+			want = n + (n*plen+slabCap-1)/slabCap
+		}
+		if int(allocs) > want {
+			t.Errorf("a batch of %d members with %d-byte payloads costs %.0f allocations, want at most %d", n, plen, allocs, want)
+		}
+	}
+}
+
 // TestGatheredWritePathZeroAllocs gates the writev emission path: a
 // batch big enough to cross both gathered-write thresholds (total ≥
 // vecMinBytes, mean member ≥ vecMinSeg) must leave through

@@ -206,11 +206,18 @@ type ResilientConn struct {
 	ctl  chan outFrame
 	done chan struct{}
 
+	// mu guards connection replacement (connect, redial, close): cur is
+	// written only under it, but read lock-free by the enqueue-time feature
+	// hints (peerState), so no send takes mu.
 	mu     sync.Mutex
 	cond   *sync.Cond
-	cur    *Conn
+	cur    atomic.Pointer[Conn]
 	gen    int // bumped on every connect; stale failures are ignored
 	closed bool
+	// rconn and rgen are the connection Recv is reading and its generation
+	// (Recv-goroutine-owned): Recv asks current() again only after an error.
+	rconn *Conn
+	rgen  int
 
 	// wroteOK is set by the writer after any successful wire write and
 	// consumed by the manager when choosing the redial delay: only a
@@ -274,23 +281,23 @@ func (rc *ResilientConn) SendRouted(to sdo.PEID, s sdo.SDO) error {
 	return rc.enqueue(outFrame{kind: KindRouted, body: body, buf: bp, hops: s.Hops, trace: s.Trace})
 }
 
-// peerState snapshots the link's liveness and the current connection's
-// advertised feature set in one guarded read: features is 0 while
-// disconnected, connected reports an installed connection, closed a
-// closed link. Every feature decision outside the writer goroutine MUST
-// go through this helper instead of copying rc.cur out of the lock —
-// manage() can replace (and Close) the current connection on redial at
-// any moment, so a conn pointer used after rc.mu is released may consult
-// a connection that no longer exists, deciding frame encodings against
-// the features of a dead generation.
+// peerState snapshots, without a lock, the link's liveness and the current
+// connection's advertised feature set: features is 0 while disconnected,
+// connected reports an installed connection, closed a closed link. Every
+// feature decision outside the writer goroutine MUST go through this
+// helper, which lets no *Conn out: manage() can replace (and Close) the
+// current connection at any moment, so the answer is an enqueue-time
+// hint, and gateFrame at write time is the correctness boundary.
 func (rc *ResilientConn) peerState() (features uint64, connected, closed bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.cur != nil {
-		features = rc.cur.peerFeatures.Load()
-		connected = true
+	select {
+	case <-rc.done:
+		closed = true
+	default:
 	}
-	return features, connected, rc.closed
+	if c := rc.cur.Load(); c != nil {
+		return c.peerFeatures.Load(), true, closed
+	}
+	return 0, false, closed
 }
 
 // SendReplica enqueues a data frame addressed to replica slot `rep` of PE
@@ -519,15 +526,24 @@ func (rc *ResilientConn) enqueueCtl(f outFrame) error {
 // It returns io.EOF only when the ResilientConn itself is closed.
 func (rc *ResilientConn) Recv() (Message, error) {
 	for {
-		conn, gen, ok := rc.current()
-		if !ok {
+		select {
+		case <-rc.done: // frames still buffered on a closed link stay undelivered
 			return Message{}, io.EOF
+		default:
 		}
-		msg, err := conn.Recv()
+		if rc.rconn == nil {
+			conn, gen, ok := rc.current()
+			if !ok {
+				return Message{}, io.EOF
+			}
+			rc.rconn, rc.rgen = conn, gen
+		}
+		msg, err := rc.rconn.Recv()
 		if err == nil {
 			return msg, nil
 		}
-		rc.invalidate(gen)
+		rc.invalidate(rc.rgen)
+		rc.rconn = nil
 	}
 }
 
@@ -558,9 +574,8 @@ func (rc *ResilientConn) Close() error {
 		return nil
 	}
 	rc.closed = true
-	if rc.cur != nil {
-		rc.cur.Close()
-		rc.cur = nil
+	if c := rc.cur.Swap(nil); c != nil {
+		c.Close()
 	}
 	rc.cond.Broadcast()
 	rc.mu.Unlock()
@@ -614,23 +629,24 @@ func (rc *ResilientConn) countCtlFeatureDrop(n int64) {
 func (rc *ResilientConn) current() (*Conn, int, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	for rc.cur == nil && !rc.closed {
+	for rc.cur.Load() == nil && !rc.closed {
 		rc.cond.Wait()
 	}
 	if rc.closed {
 		return nil, 0, false
 	}
-	return rc.cur, rc.gen, true
+	return rc.cur.Load(), rc.gen, true
 }
 
 // invalidate retires generation gen's connection; stale calls (a reader
 // and writer both reporting the same dead conn) are idempotent.
 func (rc *ResilientConn) invalidate(gen int) {
 	rc.mu.Lock()
-	if rc.gen == gen && rc.cur != nil {
-		rc.cur.Close()
-		rc.cur = nil
-		rc.cond.Broadcast() // wake the manager to redial
+	if rc.gen == gen {
+		if c := rc.cur.Swap(nil); c != nil {
+			c.Close()
+			rc.cond.Broadcast() // wake the manager to redial
+		}
 	}
 	rc.mu.Unlock()
 }
@@ -673,7 +689,7 @@ func (rc *ResilientConn) manage() {
 	barren := false // a dial was attempted and no write has succeeded since
 	for {
 		rc.mu.Lock()
-		for rc.cur != nil && !rc.closed {
+		for rc.cur.Load() != nil && !rc.closed {
 			rc.cond.Wait()
 		}
 		if rc.closed {
@@ -706,7 +722,7 @@ func (rc *ResilientConn) manage() {
 			conn.Close()
 			return
 		}
-		rc.cur = conn
+		rc.cur.Store(conn)
 		rc.gen++
 		gen := rc.gen
 		rc.cond.Broadcast()

@@ -523,3 +523,193 @@ func TestControlLaneSurvivesDataFlood(t *testing.T) {
 		t.Errorf("control-lane overflow not counted: %+v", st)
 	}
 }
+
+// TestHotPathTakesNoLinkLock holds rc.mu (the connection-replacement lock)
+// and requires a send that consults the peer's features and a Recv with
+// members already staged to complete regardless: both used to take rc.mu
+// once per SDO.
+func TestHotPathTakesNoLinkLock(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	got := make(chan Message, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		body, _ := encodeSDO(nil, sdo.SDO{Seq: 7, Origin: time.Unix(0, 1)})
+		frame := outFrame{kind: KindData, body: body}
+		if c.SendHello(allFeatures) != nil || c.sendBatch([]outFrame{frame, frame}, true) != nil {
+			return
+		}
+		if msg, err := c.Recv(); err == nil {
+			got <- msg
+		}
+		c.Recv() // hold the connection open until the link closes
+	}()
+	rc := NewResilientConn(func() (*Conn, error) { return Dial(l.Addr(), time.Second) }, ResilientOptions{})
+	defer rc.Close()
+	// The first member's Recv reads the hello and stages the second member.
+	if _, err := rc.Recv(); err != nil {
+		t.Fatal(err)
+	}
+
+	rc.mu.Lock()
+	done := make(chan error, 2)
+	go func() { done <- rc.SendReplica(4, 1, sdo.SDO{Seq: 1, Origin: time.Unix(0, 1)}) }()
+	go func() {
+		_, err := rc.Recv()
+		done <- err
+	}()
+wait:
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("hot-path call failed under rc.mu: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Error("SendReplica or a staged Recv blocked on rc.mu")
+			break wait
+		}
+	}
+	rc.mu.Unlock()
+
+	select {
+	case msg := <-got:
+		if msg.Kind != KindReplica || msg.To != 4 || msg.Rep != 1 {
+			t.Errorf("frame enqueued under rc.mu arrived as kind %v to %d rep %d, want a replica frame", msg.Kind, msg.To, msg.Rep)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("frame enqueued under rc.mu never reached the elastic peer")
+	}
+}
+
+// TestSeverStormKeepsFeatureGateAndAccounting runs senders and a reader
+// through a storm of severs and redials against a peer that alternates
+// between elastic and non-elastic generations. The enqueue-time feature
+// hint is read without a lock, so it may be a generation stale; the
+// write-time gate must still keep every replica frame away from a
+// non-elastic peer, and every injected frame must end up counted as sent
+// or dropped. (received can only bound sent from below: TCP does not say
+// which bytes a severed socket had accepted but not delivered.)
+func TestSeverStormKeepsFeatureGateAndAccounting(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var received, replicas, misgated atomic.Int64
+	var srvWG sync.WaitGroup
+	srvWG.Add(1)
+	go func() {
+		defer srvWG.Done()
+		for gen := 0; ; gen++ {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			feat := FeatureBatch
+			if gen%2 == 0 {
+				feat |= FeatureElastic
+			}
+			srvWG.Add(1)
+			go func() {
+				defer srvWG.Done()
+				defer c.Close()
+				if c.SendHello(feat) != nil {
+					return
+				}
+				for {
+					msg, err := c.Recv()
+					if err != nil {
+						return
+					}
+					received.Add(1)
+					if msg.Kind == KindReplica {
+						replicas.Add(1)
+						if feat&FeatureElastic == 0 {
+							misgated.Add(1)
+						}
+					}
+				}
+			}()
+		}
+	}()
+	var current atomic.Pointer[FlakyConn]
+	rc := NewResilientConn(func() (*Conn, error) {
+		raw, err := net.DialTimeout("tcp", l.Addr(), time.Second)
+		if err != nil {
+			return nil, err
+		}
+		f := WrapFlaky(raw)
+		current.Store(f)
+		return NewConn(f), nil
+	}, ResilientOptions{BatchMax: 16, BackoffMin: time.Millisecond, BackoffMax: 2 * time.Millisecond})
+
+	var injected atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // reader: feeds each generation's hello to the senders' hints
+		defer wg.Done()
+		for {
+			if _, err := rc.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	var senders sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for i := uint64(0); !stop.Load(); i++ {
+				err := rc.SendReplica(3, int32(i%2), sdo.SDO{Seq: i, Origin: time.Unix(0, 1)})
+				if err != nil && err != ErrOutboxFull {
+					t.Errorf("send: %v", err)
+					return
+				}
+				injected.Add(1)
+				if i%64 == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}()
+	}
+	for i := 0; i < 40; i++ {
+		time.Sleep(5 * time.Millisecond)
+		if f := current.Load(); f != nil {
+			f.Sever()
+		}
+	}
+	stop.Store(true)
+	senders.Wait()
+	waitFor(t, 10*time.Second, func() bool {
+		st := rc.Stats()
+		return st.FramesSent+st.FramesDropped == injected.Load()
+	}, "every injected frame counted as sent or dropped")
+	st := rc.Stats()
+	rc.Close()
+	wg.Wait()
+	l.Close()
+	srvWG.Wait()
+
+	if n := misgated.Load(); n != 0 {
+		t.Errorf("%d replica frames reached a peer that never advertised FeatureElastic", n)
+	}
+	if st.Reconnects < 5 {
+		t.Errorf("only %d reconnects: the storm did not exercise redial", st.Reconnects)
+	}
+	if got := received.Load(); got == 0 || got > st.FramesSent {
+		t.Errorf("peer received %d frames, link counted %d sent", got, st.FramesSent)
+	}
+	if r := replicas.Load(); r == 0 || r == received.Load() {
+		t.Errorf("%d of %d received frames were replica frames: the storm must deliver both encodings", r, received.Load())
+	}
+	t.Logf("injected %d, sent %d, dropped %d, received %d (%d replica), reconnects %d",
+		injected.Load(), st.FramesSent, st.FramesDropped, received.Load(), replicas.Load(), st.Reconnects)
+}

@@ -119,7 +119,7 @@ func TestResilientTargetsSkippedAgainstOldPeer(t *testing.T) {
 	// Wait for a live connection, then confirm retarget stays unnegotiated.
 	waitFor(t, 5*time.Second, func() bool {
 		rc.mu.Lock()
-		up := rc.cur != nil
+		up := rc.cur.Load() != nil
 		rc.mu.Unlock()
 		return up
 	}, "connection up")

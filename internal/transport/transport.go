@@ -300,7 +300,7 @@ type Conn struct {
 
 	// pending holds decoded batch members not yet returned by Recv
 	// (Recv-goroutine-owned, no lock needed).
-	pending  []Message
+	pending  []staged
 	pendHead int
 	// rhdr is Recv's frame-header scratch (Recv-goroutine-owned). Like hdr
 	// on the write side, a stack-local array would escape into the
@@ -461,20 +461,6 @@ func encodeReplica(dst []byte, to sdo.PEID, rep int32, s sdo.SDO) ([]byte, error
 	dst = binary.BigEndian.AppendUint32(dst, uint32(to))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(rep))
 	return encodeSDO(dst, s)
-}
-
-// decodeReplica decodes a replica-frame body: PE + replica slot + SDO.
-func decodeReplica(body []byte) (sdo.PEID, int32, sdo.SDO, error) {
-	if len(body) < 8 {
-		return 0, 0, sdo.SDO{}, fmt.Errorf("transport: short replica frame (%d bytes)", len(body))
-	}
-	to := sdo.PEID(int32(binary.BigEndian.Uint32(body[0:4])))
-	rep := int32(binary.BigEndian.Uint32(body[4:8]))
-	s, err := decodeSDO(body[8:])
-	if err != nil {
-		return 0, 0, sdo.SDO{}, err
-	}
-	return to, rep, s, nil
 }
 
 // SendFeedback writes one control frame.
@@ -803,9 +789,10 @@ func (c *Conn) sendBatchVec(members []outFrame, total int) error {
 func (c *Conn) Recv() (Message, error) {
 	for {
 		if c.pendHead < len(c.pending) {
-			msg := c.pending[c.pendHead]
-			c.pending[c.pendHead] = Message{} // release payload reference
+			m := &c.pending[c.pendHead]
 			c.pendHead++
+			msg := m.message()
+			m.sdo.Payload = nil // release payload reference
 			return msg, nil
 		}
 		hdr := c.rhdr[:]
@@ -845,21 +832,19 @@ func (c *Conn) Recv() (Message, error) {
 // decodeFrame decodes one frame body. handled=true means the frame was
 // consumed internally (hello recorded, batch split into c.pending) and
 // Recv should continue with the next frame or pending member. The body is
-// never retained: payloads are copied out, so the caller can pool it.
+// never retained: payloads are copied into the frame's slab, so the caller
+// can pool it.
 func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, err error) {
 	switch kind {
-	case KindData:
-		s, err := decodeSDO(body)
+	case KindData, KindRouted, KindReplica:
+		plen, err := checkData(kind, body)
 		if err != nil {
 			return Message{}, false, err
 		}
-		return Message{Kind: KindData, SDO: s}, false, nil
-	case KindRouted:
-		to, s, err := decodeRouted(body)
-		if err != nil {
-			return Message{}, false, err
-		}
-		return Message{Kind: KindRouted, SDO: s, To: to}, false, nil
+		slab := make([]byte, plen) // a slab of one
+		var m staged
+		decodeData(&m, kind, body, &slab)
+		return m.message(), false, nil
 	case KindFeedback:
 		if len(body) != 12 {
 			return Message{}, false, fmt.Errorf("transport: bad feedback frame (%d bytes)", len(body))
@@ -893,12 +878,6 @@ func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, e
 		}
 		t.Term = binary.BigEndian.Uint64(body[0:8])
 		return Message{Kind: KindTargets, Targets: t}, false, nil
-	case KindReplica:
-		to, rep, s, err := decodeReplica(body)
-		if err != nil {
-			return Message{}, false, err
-		}
-		return Message{Kind: KindReplica, SDO: s, To: to, Rep: rep}, false, nil
 	case KindReplicaTargets:
 		rt, err := decodeReplicaTargets(body)
 		if err != nil {
@@ -953,9 +932,28 @@ func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, e
 	}
 }
 
+// slabCap bounds the slab a batch frame's payloads are copied into: one
+// payload a PE retains pins at most this much, not the whole batch. A
+// payload above the cap gets an allocation of its own.
+const slabCap = 32 << 10
+
+// staged is a decoded batch member awaiting Recv: the fields of Message a
+// data frame can set (112 bytes against Message's 248).
+type staged struct {
+	kind Kind
+	rep  int32
+	to   sdo.PEID
+	sdo  sdo.SDO
+}
+
+func (m *staged) message() Message {
+	return Message{Kind: m.kind, SDO: m.sdo, To: m.to, Rep: m.rep}
+}
+
 // decodeBatch splits a batch body into c.pending. Members may only be
 // data, routed or replica frames; anything else (nested batches, control
-// frames) is a protocol error.
+// frames) is a protocol error. The whole body is validated before any
+// member is decoded, so a rejected batch stages and allocates nothing.
 func (c *Conn) decodeBatch(body []byte) error {
 	if len(body) < 4 {
 		return fmt.Errorf("transport: short batch frame (%d bytes)", len(body))
@@ -964,8 +962,6 @@ func (c *Conn) decodeBatch(body []byte) error {
 	if count == 0 || count > maxBatchMembers {
 		return fmt.Errorf("transport: batch member count %d out of range", count)
 	}
-	c.pending = c.pending[:0]
-	c.pendHead = 0
 	rest := body[4:]
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 5 {
@@ -973,38 +969,54 @@ func (c *Conn) decodeBatch(body []byte) error {
 		}
 		k := Kind(rest[0])
 		mlen := binary.BigEndian.Uint32(rest[1:5])
-		if int(mlen) > len(rest)-5 {
+		if mlen > uint32(len(rest)-5) {
 			return fmt.Errorf("transport: batch member %d overruns frame", i)
 		}
-		mbody := rest[5 : 5+mlen]
-		switch k {
-		case KindData:
-			s, err := decodeSDO(mbody)
-			if err != nil {
-				return err
-			}
-			c.pending = append(c.pending, Message{Kind: KindData, SDO: s})
-		case KindRouted:
-			to, s, err := decodeRouted(mbody)
-			if err != nil {
-				return err
-			}
-			c.pending = append(c.pending, Message{Kind: KindRouted, SDO: s, To: to})
-		case KindReplica:
-			to, rep, s, err := decodeReplica(mbody)
-			if err != nil {
-				return err
-			}
-			c.pending = append(c.pending, Message{Kind: KindReplica, SDO: s, To: to, Rep: rep})
-		default:
+		if !batchable(k) {
 			return fmt.Errorf("transport: batch member %d has non-data kind %d", i, k)
+		}
+		if _, err := checkData(k, rest[5:5+mlen]); err != nil {
+			return err
 		}
 		rest = rest[5+mlen:]
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("transport: %d trailing bytes after batch members", len(rest))
 	}
+	if cap(c.pending) < int(count) {
+		c.pending = make([]staged, count)
+	}
+	c.pending = c.pending[:count]
+	c.pendHead = 0
+	var slab []byte
+	rest = body[4:]
+	for i := range c.pending {
+		k := Kind(rest[0])
+		mlen := int(binary.BigEndian.Uint32(rest[1:5]))
+		mbody := rest[5 : 5+mlen]
+		rest = rest[5+mlen:]
+		if plen := mlen - dataPrefix(k) - sdoHeaderLen; plen > len(slab) {
+			slab = make([]byte, slabSpan(plen, rest))
+		}
+		decodeData(&c.pending[i], k, mbody, &slab)
+	}
 	return nil
+}
+
+// slabSpan sizes the slab opened by an n-byte payload: that payload plus
+// those of the members following in rest (already validated) for as long
+// as the total stays within slabCap. Slabs are therefore filled exactly.
+func slabSpan(n int, rest []byte) int {
+	for len(rest) > 0 {
+		mlen := int(binary.BigEndian.Uint32(rest[1:5]))
+		plen := mlen - dataPrefix(Kind(rest[0])) - sdoHeaderLen
+		if n+plen > slabCap {
+			break
+		}
+		n += plen
+		rest = rest[5+mlen:]
+	}
+	return n
 }
 
 // sdoHeaderLen is the fixed prefix of a data-frame body: stream(4) +
@@ -1013,44 +1025,66 @@ func (c *Conn) decodeBatch(body []byte) error {
 // among its local replicas with the same key affinity the sender used.
 const sdoHeaderLen = 44
 
-// decodeSDO decodes a data-frame body. The payload (if any) is copied out
-// of body, so the caller may recycle the buffer immediately.
-func decodeSDO(body []byte) (sdo.SDO, error) {
-	if len(body) < sdoHeaderLen {
-		return sdo.SDO{}, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
+// dataPrefix is the length of the routing prefix ahead of the SDO header
+// in a data, routed (destination PE) or replica (PE + slot) body.
+func dataPrefix(k Kind) int {
+	switch k {
+	case KindRouted:
+		return 4
+	case KindReplica:
+		return 8
 	}
-	s := sdo.SDO{
+	return 0
+}
+
+// checkData validates a data, routed or replica body and returns its
+// payload length. It allocates nothing.
+func checkData(k Kind, body []byte) (int, error) {
+	if prefix := dataPrefix(k); len(body) >= prefix {
+		body = body[prefix:]
+	} else if k == KindRouted {
+		return 0, fmt.Errorf("transport: short routed frame (%d bytes)", len(body))
+	} else {
+		return 0, fmt.Errorf("transport: short replica frame (%d bytes)", len(body))
+	}
+	if len(body) < sdoHeaderLen {
+		return 0, fmt.Errorf("transport: short data frame (%d bytes)", len(body))
+	}
+	plen := binary.BigEndian.Uint32(body[40:44])
+	if int(plen) != len(body)-sdoHeaderLen {
+		return 0, fmt.Errorf("transport: payload length %d disagrees with frame size", plen)
+	}
+	return int(plen), nil
+}
+
+// decodeData decodes into m a body checkData accepted. The payload (if
+// any) is copied into the front of *slab, which must have room for it, so
+// the caller may recycle body immediately; it is handed out capacity-
+// clipped, so an append on it cannot reach the slab's next payload.
+func decodeData(m *staged, k Kind, body []byte, slab *[]byte) {
+	*m = staged{kind: k}
+	if k != KindData {
+		m.to = sdo.PEID(int32(binary.BigEndian.Uint32(body[0:4])))
+	}
+	if k == KindReplica {
+		m.rep = int32(binary.BigEndian.Uint32(body[4:8]))
+	}
+	body = body[dataPrefix(k):]
+	m.sdo = sdo.SDO{
 		Stream: sdo.StreamID(int32(binary.BigEndian.Uint32(body[0:4]))),
 		Seq:    binary.BigEndian.Uint64(body[4:12]),
 		Origin: time.Unix(0, int64(binary.BigEndian.Uint64(body[12:20]))),
 		Hops:   int(int32(binary.BigEndian.Uint32(body[20:24]))),
 		Trace:  binary.BigEndian.Uint64(body[24:32]),
 		Key:    binary.BigEndian.Uint64(body[32:40]),
+		Bytes:  1,
 	}
-	plen := binary.BigEndian.Uint32(body[40:44])
-	if int(plen) != len(body)-sdoHeaderLen {
-		return sdo.SDO{}, fmt.Errorf("transport: payload length %d disagrees with frame size", plen)
+	if p := body[sdoHeaderLen:]; len(p) > 0 {
+		v := (*slab)[:len(p):len(p)]
+		*slab = (*slab)[len(p):]
+		copy(v, p)
+		m.sdo.Payload, m.sdo.Bytes = v, len(p)
 	}
-	if plen > 0 {
-		s.Payload = append([]byte(nil), body[sdoHeaderLen:]...)
-		s.Bytes = int(plen)
-	} else {
-		s.Bytes = 1
-	}
-	return s, nil
-}
-
-// decodeRouted decodes a routed-frame body: destination PE + SDO.
-func decodeRouted(body []byte) (sdo.PEID, sdo.SDO, error) {
-	if len(body) < 4 {
-		return 0, sdo.SDO{}, fmt.Errorf("transport: short routed frame (%d bytes)", len(body))
-	}
-	to := sdo.PEID(int32(binary.BigEndian.Uint32(body[0:4])))
-	s, err := decodeSDO(body[4:])
-	if err != nil {
-		return 0, sdo.SDO{}, err
-	}
-	return to, s, nil
 }
 
 // Listener accepts framed connections.

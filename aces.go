@@ -282,10 +282,10 @@ type (
 	// calibrate→re-solve→retarget loop that closes the paper's adaptive
 	// cycle on a live deployment.
 	RetargetConfig = spc.RetargetConfig
-	// TargetSender is the uplink extension that disseminates epoch-stamped
-	// CPU target sets to peer processes (implemented by Link, Router and
-	// ResilientLink).
-	TargetSender = spc.TargetSender
+	// ControlSender is the uplink extension carrying heartbeats, (term,
+	// epoch)-stamped target sets and dissemination acks to peer processes
+	// (implemented by Link, Router and ResilientLink).
+	ControlSender = spc.ControlSender
 	// StepCost is a deterministic processor whose per-SDO cost steps at a
 	// scheduled virtual time — the canonical workload drift for exercising
 	// the adaptive loop.
@@ -303,13 +303,6 @@ type (
 	// dissemination tree: ordered backup parents adopted on parent
 	// silence, plus ack-lag-driven retransmission to descendants.
 	HierRepair = spc.HierRepair
-	// TermTargetSender is the uplink extension carrying term-stamped CPU
-	// target sets (implemented by Link, Router and ResilientLink).
-	TermTargetSender = spc.TermTargetSender
-	// TermReplicaTargetSender is the term-stamped replica-target variant.
-	TermReplicaTargetSender = spc.TermReplicaTargetSender
-	// TermAckSender is the term-stamped dissemination-ack variant.
-	TermAckSender = spc.TermAckSender
 )
 
 // ErrStaleEpoch reports a SetTargets whose epoch is not strictly newer
@@ -385,9 +378,6 @@ type (
 	// HierRetargetConfig switches Cluster.StartRetarget to the
 	// hierarchical solver (RetargetConfig.Hier).
 	HierRetargetConfig = spc.HierRetarget
-	// EpochAckSender is the uplink extension carrying dissemination acks
-	// up the target tree (implemented by Link, Router and ResilientLink).
-	EpochAckSender = spc.EpochAckSender
 )
 
 // HierPartition decomposes a topology into regions, minimizing the

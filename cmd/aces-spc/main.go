@@ -557,7 +557,7 @@ func runNode(topoFile, localNodes, listenAddr, peerAddr string, seed int64, polN
 
 	// The adaptive loop calibrates local PEs only, so every partition may
 	// run it; epoch ordering keeps concurrent re-solves consistent. New
-	// epochs ride the same uplink as heartbeats (v1 peers are skipped).
+	// epochs ride the same uplink as heartbeats.
 	// With -standby-rank this partition instead watches the incumbent and
 	// claims the next controller term on silence.
 	if err := co.start(cl, rtEvery, el); err != nil {

@@ -93,7 +93,7 @@ func wirePayloadSDO() sdo.SDO {
 //	direct     — a shared Conn, one frame and one flush per SDO (the
 //	             historic hot path this PR fixes)
 //	unbatched  — a ResilientConn outbox with flush-on-idle coalescing
-//	batch-N    — the same outbox with KindBatch framing negotiated
+//	batch-N    — the same outbox with KindBatch framing
 //	batch-M    — the same, with 512-byte payload SDOs and batches
 //	             large enough that every full batch leaves via the
 //	             gathered writev path
@@ -107,8 +107,8 @@ func TransportThroughput(o TransportOptions) ([]TransportRow, error) {
 		return nil, err
 	}
 	defer lis.Close()
-	// The receiver advertises batch support and decodes everything it is
-	// sent, so the measurement covers decode as well as encode.
+	// The receiver decodes everything it is sent, so the measurement
+	// covers decode as well as encode.
 	go func() {
 		for {
 			c, err := lis.Accept()
@@ -117,7 +117,6 @@ func TransportThroughput(o TransportOptions) ([]TransportRow, error) {
 			}
 			go func(c *transport.Conn) {
 				defer c.Close()
-				_ = c.SendHello(transport.FeatureBatch)
 				for {
 					if _, err := c.Recv(); err != nil {
 						return
@@ -260,15 +259,6 @@ func transportResilient(addr string, o TransportOptions, mode string, s sdo.SDO,
 		return transport.Dial(addr, 5*time.Second)
 	}, opts)
 	defer rc.Close()
-	// The client-side Recv loop consumes the receiver's hello, which is
-	// what lets the writer start emitting batch frames.
-	go func() {
-		for {
-			if _, err := rc.Recv(); err != nil {
-				return
-			}
-		}
-	}()
 	send := func() error {
 		for {
 			err := rc.SendSDO(s)
@@ -282,8 +272,8 @@ func transportResilient(addr string, o TransportOptions, mode string, s sdo.SDO,
 			return err
 		}
 	}
-	// Warmup: enough traffic that the hello round-trip completes and the
-	// pool is primed before the clock starts.
+	// Warmup: enough traffic that the connection is up and the pool is
+	// primed before the clock starts.
 	const warmup = 512
 	for i := 0; i < warmup; i++ {
 		if err := send(); err != nil {

@@ -195,13 +195,6 @@ type LinkStats struct {
 	// reserved lane, so this should stay 0 under pure data floods; nonzero
 	// means the control plane itself is saturating or the link is down.
 	ControlDropped int64 `json:"control_frames_dropped,omitempty"`
-	// CtlFeatureDropped counts control frames dropped by the writer's
-	// write-time feature re-gate: enqueued against one connection, written
-	// after a reconnect whose new peer no longer advertises the frame's
-	// feature and no lossless downgrade encoding exists. A subset of
-	// ControlDropped; nonzero means a peer reconnected with fewer
-	// features (e.g. rolled back to an older binary).
-	CtlFeatureDropped int64 `json:"ctl_feature_dropped,omitempty"`
 	// Reconnects counts link re-establishments after the first connect.
 	Reconnects int64 `json:"reconnects"`
 	// QueueLen/QueueCap snapshot the outbox at report time.
@@ -209,8 +202,7 @@ type LinkStats struct {
 	QueueCap int `json:"queue_cap"`
 	// BatchesSent counts KindBatch wire frames; BatchedFrames counts the
 	// member frames they carried, so BatchedFrames/BatchesSent is the
-	// mean batch fill. Both stay zero when batching is off or the peer
-	// never negotiated it.
+	// mean batch fill. Both stay zero when batching is off.
 	BatchesSent   int64 `json:"batches_sent,omitempty"`
 	BatchedFrames int64 `json:"batched_frames,omitempty"`
 }

@@ -34,39 +34,12 @@ func (l *Link) SendSDO(to sdo.PEID, s sdo.SDO) error {
 }
 
 // SendReplicaSDO implements ElasticLink: addresses one replica slot of a
-// logical PE. Peers that never negotiated FeatureElastic have no replica
-// vocabulary; the frame degrades to a routed frame for the logical PE and
-// the receiver re-routes through its own target set.
+// logical PE.
 func (l *Link) SendReplicaSDO(to sdo.PEID, rep int32, s sdo.SDO) error {
 	if _, ok := s.Payload.([]byte); !ok && s.Payload != nil {
 		s.Payload = nil // same wire constraint as SendSDO
 	}
-	if !l.conn.PeerSupportsElastic() {
-		return l.conn.SendRouted(to, s)
-	}
 	return l.conn.SendReplica(to, rep, s)
-}
-
-// SendReplicaTargets implements ReplicaTargetSender under collapsed
-// term<<32|epoch semantics (a plain epoch is term 0).
-func (l *Link) SendReplicaTargets(epoch uint64, cpu [][]float64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return l.SendTermReplicaTargets(term, e, cpu)
-}
-
-// SendTermReplicaTargets implements TermReplicaTargetSender: disseminates
-// a per-replica target matrix. Peers without FeatureElastic get the
-// logical (collapsed) vector over the targets frame when they support it,
-// and nothing otherwise — exactly one control frame per epoch either way.
-// The conn collapses (term, epoch) for peers without FeatureTerm.
-func (l *Link) SendTermReplicaTargets(term, epoch uint64, cpu [][]float64) error {
-	if l.conn.PeerSupportsElastic() {
-		return l.conn.SendReplicaTargets(transport.ReplicaTargets{Term: term, Epoch: epoch, CPU: cpu})
-	}
-	if l.conn.PeerSupportsRetarget() {
-		return l.conn.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: collapseTargets(cpu)})
-	}
-	return nil
 }
 
 // SendFeedback implements RemoteLink.
@@ -74,59 +47,43 @@ func (l *Link) SendFeedback(pe int32, rmax float64) error {
 	return l.conn.SendFeedback(transport.Feedback{PE: pe, RMax: rmax})
 }
 
-// SendHeartbeat implements HeartbeatSender: a liveness beacon for node
-// `node` with a per-process sequence number. Silently skipped when the
-// peer has not negotiated heartbeat support.
+// SendHeartbeat implements ControlSender: a liveness beacon for node
+// `node` with a per-process sequence number.
 func (l *Link) SendHeartbeat(node int32, seq uint64) error {
-	if !l.conn.PeerSupportsHeartbeat() {
-		return nil
-	}
 	return l.conn.SendHeartbeat(transport.Heartbeat{Node: node, Seq: seq})
 }
 
-// SendTargets implements TargetSender under collapsed term<<32|epoch
-// semantics (a plain epoch is term 0).
-func (l *Link) SendTargets(epoch uint64, cpu []float64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return l.SendTermTargets(term, e, cpu)
-}
-
-// SendTermTargets implements TermTargetSender: disseminates a
-// (term, epoch)-stamped CPU target vector. Silently skipped when the peer
-// has not negotiated FeatureRetarget (a v1 binary has no vocabulary for
-// the frame); the periodic re-broadcast repairs the gap if the peer
-// upgrades. The conn collapses the pair for peers without FeatureTerm.
-func (l *Link) SendTermTargets(term, epoch uint64, cpu []float64) error {
-	if !l.conn.PeerSupportsRetarget() {
-		return nil
-	}
+// SendTargets implements ControlSender: disseminates a (term,
+// epoch)-stamped CPU target vector.
+func (l *Link) SendTargets(term, epoch uint64, cpu []float64) error {
 	return l.conn.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: cpu})
 }
 
-// SendTargetAck implements EpochAckSender under collapsed term<<32|epoch
-// semantics.
-func (l *Link) SendTargetAck(origin int32, epoch uint64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return l.SendTermTargetAck(origin, term, e)
+// SendReplicaTargets implements ControlSender: disseminates a (term,
+// epoch)-stamped per-replica target matrix.
+func (l *Link) SendReplicaTargets(term, epoch uint64, rep [][]float64) error {
+	return l.conn.SendReplicaTargets(transport.ReplicaTargets{Term: term, Epoch: epoch, CPU: rep})
 }
 
-// SendTermTargetAck implements TermAckSender: reports a descendant's
-// applied (term, epoch) up the dissemination tree. Silently skipped when
-// the peer has not negotiated FeatureHier (a flat peer has no tree
-// position to account acks to).
-func (l *Link) SendTermTargetAck(origin int32, term, epoch uint64) error {
-	if !l.conn.PeerSupportsHier() {
-		return nil
-	}
+// SendTargetAck implements ControlSender: reports a descendant's applied
+// (term, epoch) up the dissemination tree.
+func (l *Link) SendTargetAck(origin int32, term, epoch uint64) error {
 	return l.conn.SendTargetAck(transport.TargetAck{Origin: origin, Term: term, Epoch: epoch})
 }
 
 // Serve pumps incoming frames from the peer into the cluster until the
 // connection closes or errors. Run it on its own goroutine; it returns nil
 // on orderly EOF.
-func (l *Link) Serve(c *Cluster) error {
+func (l *Link) Serve(c *Cluster) error { return serve(l.conn.Recv, c, l) }
+
+// serve is the receive dispatch shared by Link and ResilientLink: it
+// pumps messages from recv into c until recv returns io.EOF (nil) or
+// another error. from is the link acks arrive on: a lagging origin's
+// repair frames go straight back down it. Unrouted data (KindData) has
+// no destination in a partitioned deployment and is ignored.
+func serve(recv func() (transport.Message, error), c *Cluster, from ControlSender) error {
 	for {
-		msg, err := l.conn.Recv()
+		msg, err := recv()
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -136,23 +93,18 @@ func (l *Link) Serve(c *Cluster) error {
 		switch msg.Kind {
 		case transport.KindRouted:
 			c.InjectSDO(msg.To, msg.SDO)
-		case transport.KindData:
-			// Unrouted data has no destination in a partitioned
-			// deployment; ignore rather than guess.
+		case transport.KindReplica:
+			c.InjectReplicaSDO(msg.To, msg.Rep, msg.SDO)
 		case transport.KindFeedback:
 			c.InjectFeedback(msg.Feedback.PE, msg.Feedback.RMax)
 		case transport.KindHeartbeat:
 			c.InjectHeartbeat(msg.Heartbeat.Node)
 		case transport.KindTargets:
 			c.InjectTermTargets(msg.Targets.Term, msg.Targets.Epoch, msg.Targets.CPU)
-		case transport.KindReplica:
-			c.InjectReplicaSDO(msg.To, msg.Rep, msg.SDO)
 		case transport.KindReplicaTargets:
 			c.InjectTermReplicaTargets(msg.ReplicaTargets.Term, msg.ReplicaTargets.Epoch, msg.ReplicaTargets.CPU)
 		case transport.KindTargetAck:
-			// The link itself is the delivering sender: a lagging origin's
-			// repair frames go straight back down this connection.
-			c.InjectTargetAckFrom(msg.TargetAck.Origin, msg.TargetAck.Term, msg.TargetAck.Epoch, l)
+			c.InjectTargetAckFrom(msg.TargetAck.Origin, msg.TargetAck.Term, msg.TargetAck.Epoch, from)
 		}
 	}
 }
@@ -229,31 +181,7 @@ func (l *ResilientLink) SendFeedback(pe int32, rmax float64) error {
 	return l.rc.SendFeedback(transport.Feedback{PE: pe, RMax: rmax})
 }
 
-// SendHeartbeat implements HeartbeatSender. It never blocks; beacons are
-// silently discarded while the link is down or the peer predates the
-// heartbeat feature — the next beacon repairs the roster.
-func (l *ResilientLink) SendHeartbeat(node int32, seq uint64) error {
-	return l.rc.SendHeartbeat(transport.Heartbeat{Node: node, Seq: seq})
-}
-
-// SendTargets implements TargetSender under collapsed term<<32|epoch
-// semantics (a plain epoch is term 0).
-func (l *ResilientLink) SendTargets(epoch uint64, cpu []float64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return l.SendTermTargets(term, e, cpu)
-}
-
-// SendTermTargets implements TermTargetSender. It never blocks; frames
-// are silently withheld while the link is down or the peer predates the
-// retarget feature — the periodic re-broadcast converges the peer once it
-// (re)connects with a capable hello. The conn collapses (term, epoch)
-// for peers without FeatureTerm.
-func (l *ResilientLink) SendTermTargets(term, epoch uint64, cpu []float64) error {
-	return l.rc.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: cpu})
-}
-
-// SendReplicaSDO implements ElasticLink. It never blocks; the underlying
-// conn degrades the frame to a routed one for non-elastic peers.
+// SendReplicaSDO implements ElasticLink. It never blocks.
 func (l *ResilientLink) SendReplicaSDO(to sdo.PEID, rep int32, s sdo.SDO) error {
 	if _, ok := s.Payload.([]byte); !ok && s.Payload != nil {
 		s.Payload = nil // same wire constraint as Link.SendSDO
@@ -261,34 +189,30 @@ func (l *ResilientLink) SendReplicaSDO(to sdo.PEID, rep int32, s sdo.SDO) error 
 	return l.rc.SendReplica(to, rep, s)
 }
 
-// SendReplicaTargets implements ReplicaTargetSender under collapsed
-// term<<32|epoch semantics.
-func (l *ResilientLink) SendReplicaTargets(epoch uint64, cpu [][]float64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return l.SendTermReplicaTargets(term, e, cpu)
+// SendHeartbeat implements ControlSender. It never blocks; beacons are
+// silently discarded while the link is down — the next beacon repairs
+// the roster.
+func (l *ResilientLink) SendHeartbeat(node int32, seq uint64) error {
+	return l.rc.SendHeartbeat(transport.Heartbeat{Node: node, Seq: seq})
 }
 
-// SendTermReplicaTargets implements TermReplicaTargetSender. It never
-// blocks; non-elastic-but-retarget-capable peers get the collapsed
-// logical vector so the two frame kinds never double-deliver one epoch.
-func (l *ResilientLink) SendTermReplicaTargets(term, epoch uint64, cpu [][]float64) error {
-	if l.rc.PeerSupportsElastic() {
-		return l.rc.SendReplicaTargets(transport.ReplicaTargets{Term: term, Epoch: epoch, CPU: cpu})
-	}
-	return l.rc.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: collapseTargets(cpu)})
+// SendTargets implements ControlSender. It never blocks; frames are
+// silently withheld while the link is down — the periodic re-broadcast
+// converges the peer once it reconnects.
+func (l *ResilientLink) SendTargets(term, epoch uint64, cpu []float64) error {
+	return l.rc.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: cpu})
 }
 
-// SendTargetAck implements EpochAckSender under collapsed term<<32|epoch
-// semantics.
-func (l *ResilientLink) SendTargetAck(origin int32, epoch uint64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return l.SendTermTargetAck(origin, term, e)
+// SendReplicaTargets implements ControlSender, with SendTargets'
+// discard-while-down contract.
+func (l *ResilientLink) SendReplicaTargets(term, epoch uint64, rep [][]float64) error {
+	return l.rc.SendReplicaTargets(transport.ReplicaTargets{Term: term, Epoch: epoch, CPU: rep})
 }
 
-// SendTermTargetAck implements TermAckSender. It never blocks; acks are
-// silently discarded while the link is down or the peer predates
-// FeatureHier — the ack after the next target frame repairs the view.
-func (l *ResilientLink) SendTermTargetAck(origin int32, term, epoch uint64) error {
+// SendTargetAck implements ControlSender. It never blocks; acks are
+// silently discarded while the link is down — the ack after the next
+// target frame repairs the view.
+func (l *ResilientLink) SendTargetAck(origin int32, term, epoch uint64) error {
 	return l.rc.SendTargetAck(transport.TargetAck{Origin: origin, Term: term, Epoch: epoch})
 }
 
@@ -296,46 +220,21 @@ func (l *ResilientLink) SendTermTargetAck(origin int32, term, epoch uint64) erro
 // reconnects; it returns nil once the link is closed.
 func (l *ResilientLink) Serve(c *Cluster) error {
 	l.Bind(c)
-	for {
-		msg, err := l.rc.Recv()
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		switch msg.Kind {
-		case transport.KindRouted:
-			c.InjectSDO(msg.To, msg.SDO)
-		case transport.KindFeedback:
-			c.InjectFeedback(msg.Feedback.PE, msg.Feedback.RMax)
-		case transport.KindHeartbeat:
-			c.InjectHeartbeat(msg.Heartbeat.Node)
-		case transport.KindTargets:
-			c.InjectTermTargets(msg.Targets.Term, msg.Targets.Epoch, msg.Targets.CPU)
-		case transport.KindReplica:
-			c.InjectReplicaSDO(msg.To, msg.Rep, msg.SDO)
-		case transport.KindReplicaTargets:
-			c.InjectTermReplicaTargets(msg.ReplicaTargets.Term, msg.ReplicaTargets.Epoch, msg.ReplicaTargets.CPU)
-		case transport.KindTargetAck:
-			c.InjectTargetAckFrom(msg.TargetAck.Origin, msg.TargetAck.Term, msg.TargetAck.Epoch, l)
-		}
-	}
+	return serve(l.rc.Recv, c, l)
 }
 
 // LinkStats implements LinkStatsSource for report integration.
 func (l *ResilientLink) LinkStats() metrics.LinkStats {
 	s := l.rc.Stats()
 	return metrics.LinkStats{
-		FramesSent:        s.FramesSent,
-		FramesDropped:     s.FramesDropped,
-		ControlDropped:    s.ControlDropped,
-		CtlFeatureDropped: s.CtlFeatureDropped,
-		Reconnects:        s.Reconnects,
-		QueueLen:          s.QueueLen,
-		QueueCap:          s.QueueCap,
-		BatchesSent:       s.BatchesSent,
-		BatchedFrames:     s.BatchedFrames,
+		FramesSent:     s.FramesSent,
+		FramesDropped:  s.FramesDropped,
+		ControlDropped: s.ControlDropped,
+		Reconnects:     s.Reconnects,
+		QueueLen:       s.QueueLen,
+		QueueCap:       s.QueueCap,
+		BatchesSent:    s.BatchesSent,
+		BatchedFrames:  s.BatchedFrames,
 	}
 }
 
@@ -415,43 +314,6 @@ func (r *Router) SendReplicaSDO(to sdo.PEID, rep int32, s sdo.SDO) error {
 	return link.SendSDO(to, s)
 }
 
-// SendReplicaTargets implements ReplicaTargetSender under collapsed
-// term<<32|epoch semantics (a plain epoch is term 0).
-func (r *Router) SendReplicaTargets(epoch uint64, cpu [][]float64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return r.SendTermReplicaTargets(term, e, cpu)
-}
-
-// SendTermReplicaTargets implements TermReplicaTargetSender: the matrix
-// is broadcast to every peer; links without replica vocabulary get the
-// collapsed logical vector when they can carry targets at all, and links
-// without term vocabulary get the collapsed (term, epoch) scalar.
-func (r *Router) SendTermReplicaTargets(term, epoch uint64, cpu [][]float64) error {
-	r.mu.RLock()
-	peers := r.peers
-	r.mu.RUnlock()
-	var firstErr error
-	for _, p := range peers {
-		var err error
-		switch l := p.(type) {
-		case TermReplicaTargetSender:
-			err = l.SendTermReplicaTargets(term, epoch, cpu)
-		case ReplicaTargetSender:
-			err = l.SendReplicaTargets(transport.CollapseTermEpoch(term, epoch), cpu)
-		case TermTargetSender:
-			err = l.SendTermTargets(term, epoch, collapseTargets(cpu))
-		case TargetSender:
-			err = l.SendTargets(transport.CollapseTermEpoch(term, epoch), collapseTargets(cpu))
-		default:
-			continue
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // SendFeedback implements RemoteLink: advertisements are broadcast to all
 // peers (any of them may host an upstream of the advertising PE).
 func (r *Router) SendFeedback(pe int32, rmax float64) error {
@@ -467,90 +329,46 @@ func (r *Router) SendFeedback(pe int32, rmax float64) error {
 	return firstErr
 }
 
-// SendHeartbeat implements HeartbeatSender: beacons are broadcast to every
-// peer link that supports them (membership is judged by each receiver).
-func (r *Router) SendHeartbeat(node int32, seq uint64) error {
+// eachControl calls send on every peer link that is a ControlSender and
+// returns the first error. Control frames are broadcast: membership is
+// judged by each receiver, receivers enforce (term, epoch) ordering so a
+// peer seeing the same set twice is harmless, and in a well-formed tree
+// a child recording a descendant's ack twice is harmless too.
+func (r *Router) eachControl(send func(ControlSender) error) error {
 	r.mu.RLock()
 	peers := r.peers
 	r.mu.RUnlock()
 	var firstErr error
 	for _, p := range peers {
-		hs, ok := p.(HeartbeatSender)
+		cs, ok := p.(ControlSender)
 		if !ok {
 			continue
 		}
-		if err := hs.SendHeartbeat(node, seq); err != nil && firstErr == nil {
+		if err := send(cs); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// SendTargets implements TargetSender under collapsed term<<32|epoch
-// semantics (a plain epoch is term 0).
-func (r *Router) SendTargets(epoch uint64, cpu []float64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return r.SendTermTargets(term, e, cpu)
+// SendHeartbeat implements ControlSender by broadcast.
+func (r *Router) SendHeartbeat(node int32, seq uint64) error {
+	return r.eachControl(func(p ControlSender) error { return p.SendHeartbeat(node, seq) })
 }
 
-// SendTermTargets implements TermTargetSender: target sets are broadcast
-// to every peer link that supports them (receivers enforce (term, epoch)
-// ordering, so a peer seeing the same set twice is harmless). Links
-// without term vocabulary get the collapsed scalar.
-func (r *Router) SendTermTargets(term, epoch uint64, cpu []float64) error {
-	r.mu.RLock()
-	peers := r.peers
-	r.mu.RUnlock()
-	var firstErr error
-	for _, p := range peers {
-		var err error
-		switch l := p.(type) {
-		case TermTargetSender:
-			err = l.SendTermTargets(term, epoch, cpu)
-		case TargetSender:
-			err = l.SendTargets(transport.CollapseTermEpoch(term, epoch), cpu)
-		default:
-			continue
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+// SendTargets implements ControlSender by broadcast.
+func (r *Router) SendTargets(term, epoch uint64, cpu []float64) error {
+	return r.eachControl(func(p ControlSender) error { return p.SendTargets(term, epoch, cpu) })
 }
 
-// SendTargetAck implements EpochAckSender under collapsed term<<32|epoch
-// semantics.
-func (r *Router) SendTargetAck(origin int32, epoch uint64) error {
-	term, e := transport.SplitTermEpoch(epoch)
-	return r.SendTermTargetAck(origin, term, e)
+// SendReplicaTargets implements ControlSender by broadcast.
+func (r *Router) SendReplicaTargets(term, epoch uint64, rep [][]float64) error {
+	return r.eachControl(func(p ControlSender) error { return p.SendReplicaTargets(term, epoch, rep) })
 }
 
-// SendTermTargetAck implements TermAckSender: acks are broadcast to every
-// peer that can carry them. In a well-formed tree the router's peers are
-// this process's parent (and children, which ignore acks addressed
-// upward only in the sense that they simply record them — recording a
-// descendant epoch twice is harmless).
-func (r *Router) SendTermTargetAck(origin int32, term, epoch uint64) error {
-	r.mu.RLock()
-	peers := r.peers
-	r.mu.RUnlock()
-	var firstErr error
-	for _, p := range peers {
-		var err error
-		switch l := p.(type) {
-		case TermAckSender:
-			err = l.SendTermTargetAck(origin, term, epoch)
-		case EpochAckSender:
-			err = l.SendTargetAck(origin, transport.CollapseTermEpoch(term, epoch))
-		default:
-			continue
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+// SendTargetAck implements ControlSender by broadcast.
+func (r *Router) SendTargetAck(origin int32, term, epoch uint64) error {
+	return r.eachControl(func(p ControlSender) error { return p.SendTargetAck(origin, term, epoch) })
 }
 
 // Interface compliance checks.
@@ -559,31 +377,12 @@ var (
 	_ RemoteLink      = (*Router)(nil)
 	_ RemoteLink      = (*ResilientLink)(nil)
 	_ LinkStatsSource = (*ResilientLink)(nil)
-	_ HeartbeatSender = (*Link)(nil)
-	_ HeartbeatSender = (*Router)(nil)
-	_ HeartbeatSender = (*ResilientLink)(nil)
-	_ TargetSender    = (*Link)(nil)
-	_ TargetSender    = (*Router)(nil)
-	_ TargetSender    = (*ResilientLink)(nil)
 
-	_ ElasticLink         = (*Link)(nil)
-	_ ElasticLink         = (*Router)(nil)
-	_ ElasticLink         = (*ResilientLink)(nil)
-	_ ReplicaTargetSender = (*Link)(nil)
-	_ ReplicaTargetSender = (*Router)(nil)
-	_ ReplicaTargetSender = (*ResilientLink)(nil)
+	_ ControlSender = (*Link)(nil)
+	_ ControlSender = (*Router)(nil)
+	_ ControlSender = (*ResilientLink)(nil)
 
-	_ EpochAckSender = (*Link)(nil)
-	_ EpochAckSender = (*Router)(nil)
-	_ EpochAckSender = (*ResilientLink)(nil)
-
-	_ TermTargetSender        = (*Link)(nil)
-	_ TermTargetSender        = (*Router)(nil)
-	_ TermTargetSender        = (*ResilientLink)(nil)
-	_ TermReplicaTargetSender = (*Link)(nil)
-	_ TermReplicaTargetSender = (*Router)(nil)
-	_ TermReplicaTargetSender = (*ResilientLink)(nil)
-	_ TermAckSender           = (*Link)(nil)
-	_ TermAckSender           = (*Router)(nil)
-	_ TermAckSender           = (*ResilientLink)(nil)
+	_ ElasticLink = (*Link)(nil)
+	_ ElasticLink = (*Router)(nil)
+	_ ElasticLink = (*ResilientLink)(nil)
 )

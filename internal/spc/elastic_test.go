@@ -118,11 +118,11 @@ func TestSetReplicaTargetsValidatesAndRoutes(t *testing.T) {
 		t.Errorf("64 distinct keys all routed to one replica")
 	}
 
-	// Stale epochs are rejected; InjectReplicaTargets drops them silently.
+	// Stale epochs are rejected; InjectTermReplicaTargets drops them silently.
 	if err := c.SetReplicaTargets(1, rep); !errors.Is(err, ErrStaleEpoch) {
 		t.Errorf("stale epoch = %v, want ErrStaleEpoch", err)
 	}
-	c.InjectReplicaTargets(1, [][]float64{{9}, {9, 9}, {9}})
+	c.InjectTermReplicaTargets(0, 1, [][]float64{{9}, {9, 9}, {9}})
 	if _, snap := c.ReplicaTargetsSnapshot(); snap[1][0] != 0.3 {
 		t.Errorf("stale inject applied: %v", snap)
 	}

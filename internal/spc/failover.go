@@ -7,8 +7,7 @@
 // the dead — or merely partitioned — ex-controller ever disseminated,
 // and every receiver fences the deposed term's frames. Claim epochs
 // continue the incumbent's sequence (epoch+1), so epoch-only consumers
-// (ack lag, legacy peers via the collapsed term<<32|epoch scalar) stay
-// monotone across a takeover.
+// (ack lag) stay monotone across a takeover.
 package spc
 
 import (

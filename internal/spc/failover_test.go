@@ -8,17 +8,26 @@ import (
 
 	"aces/internal/policy"
 	"aces/internal/sdo"
-	"aces/internal/transport"
 )
 
-// recSender is a recording TargetSender double: a tree child (or a
-// delivering link) that remembers every collapsed epoch pushed to it.
+// nopControl is a ControlSender that drops every frame; the recording
+// doubles below embed it and override the one send they observe.
+type nopControl struct{}
+
+func (nopControl) SendHeartbeat(int32, uint64) error                    { return nil }
+func (nopControl) SendTargets(uint64, uint64, []float64) error          { return nil }
+func (nopControl) SendReplicaTargets(uint64, uint64, [][]float64) error { return nil }
+func (nopControl) SendTargetAck(int32, uint64, uint64) error            { return nil }
+
+// recSender is a recording ControlSender double: a tree child (or a
+// delivering link) that remembers every epoch pushed to it.
 type recSender struct {
+	nopControl
 	mu     sync.Mutex
 	epochs []uint64
 }
 
-func (r *recSender) SendTargets(epoch uint64, cpu []float64) error {
+func (r *recSender) SendTargets(term, epoch uint64, cpu []float64) error {
 	r.mu.Lock()
 	r.epochs = append(r.epochs, epoch)
 	r.mu.Unlock()
@@ -31,15 +40,16 @@ func (r *recSender) count() int {
 	return len(r.epochs)
 }
 
-// recAck is a recording EpochAckSender double: a tree parent that
-// remembers every (origin, collapsed epoch) acked through it.
+// recAck is a recording ControlSender double: a tree parent that
+// remembers every (origin, epoch) acked through it.
 type recAck struct {
+	nopControl
 	mu      sync.Mutex
 	origins []int32
 	epochs  []uint64
 }
 
-func (r *recAck) SendTargetAck(origin int32, epoch uint64) error {
+func (r *recAck) SendTargetAck(origin int32, term, epoch uint64) error {
 	r.mu.Lock()
 	r.origins = append(r.origins, origin)
 	r.epochs = append(r.epochs, epoch)
@@ -82,7 +92,7 @@ func failoverCluster(t *testing.T, seed int64) *Cluster {
 // disseminating — with HIGHER epochs than the takeover epoch. Epoch-only
 // ordering would accept them and hand control back to a zombie;
 // lexicographic (term, epoch) ordering must fence them at every
-// injection point, flat collapsed wire included.
+// injection point.
 func TestTermFencingRejectsDeposedController(t *testing.T) {
 	c := failoverCluster(t, 11)
 	cpu := []float64{0.4, 0.4, 0.4, 0.4, 0.4, 0.4}
@@ -104,15 +114,14 @@ func TestTermFencingRejectsDeposedController(t *testing.T) {
 	// and a skewed vector that would be visible if it ever applied.
 	skew := []float64{0.9, 0.1, 0.9, 0.1, 0.9, 0.1}
 	c.InjectTermTargets(0, 100, skew)
-	c.InjectTargets(transport.CollapseTermEpoch(0, 101), skew) // legacy collapsed wire
 	rep := make([][]float64, len(skew))
 	for j, v := range skew {
 		rep[j] = []float64{v}
 	}
 	c.InjectTermReplicaTargets(0, 102, rep)
 
-	if got := c.FencedFrames(); got != 3 {
-		t.Errorf("FencedFrames = %d, want 3", got)
+	if got := c.FencedFrames(); got != 2 {
+		t.Errorf("FencedFrames = %d, want 2", got)
 	}
 	if c.TargetsTerm() != 1 || c.TargetsEpoch() != 6 {
 		t.Errorf("zombie frame moved targets to (term %d, epoch %d)", c.TargetsTerm(), c.TargetsEpoch())
@@ -129,10 +138,10 @@ func TestTermFencingRejectsDeposedController(t *testing.T) {
 	if c.TargetsEpoch() != 7 {
 		t.Errorf("live-term epoch 7 rejected (applied %d)", c.TargetsEpoch())
 	}
-	// Fencing surfaces in the run report (4: three zombie frames plus the
+	// Fencing surfaces in the run report (3: two zombie frames plus the
 	// deposed local apply above).
-	if rep := c.Report(1); rep.FencedFrames != 4 || rep.TargetTerm != 1 {
-		t.Errorf("report fenced=%d term=%d, want 4/1", rep.FencedFrames, rep.TargetTerm)
+	if rep := c.Report(1); rep.FencedFrames != 3 || rep.TargetTerm != 1 {
+		t.Errorf("report fenced=%d term=%d, want 3/1", rep.FencedFrames, rep.TargetTerm)
 	}
 }
 
@@ -229,16 +238,16 @@ func TestRepeatedAckForwardsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		c.InjectTargetAck(7, 2)
+		c.InjectTargetAckFrom(7, 0, 2, nil)
 	}
 	if got := parent.count(); got != 1 {
 		t.Errorf("duplicate acks forwarded %d times, want 1", got)
 	}
-	c.InjectTargetAck(7, 3) // fresh progress forwards again
+	c.InjectTargetAckFrom(7, 0, 3, nil) // fresh progress forwards again
 	if got := parent.count(); got != 2 {
 		t.Errorf("fresh ack not forwarded (count %d, want 2)", got)
 	}
-	c.InjectTargetAck(7, 1) // regression: stale, swallowed
+	c.InjectTargetAckFrom(7, 0, 1, nil) // regression: stale, swallowed
 	if got := parent.count(); got != 2 {
 		t.Errorf("stale ack forwarded (count %d, want 2)", got)
 	}
@@ -254,7 +263,7 @@ func TestHierRepairPromotesBackupParent(t *testing.T) {
 	backup := &recAck{}
 	c.EnableHierRelay(4, dead)
 	if err := c.EnableHierRepair(HierRepair{
-		Backups:            []EpochAckSender{backup},
+		Backups:            []ControlSender{backup},
 		ParentSilenceAfter: 1,
 	}); err != nil {
 		t.Fatal(err)
@@ -263,7 +272,7 @@ func TestHierRepairPromotesBackupParent(t *testing.T) {
 	if err := c.applyTargets(0, 2, cpu); err != nil {
 		t.Fatal(err)
 	}
-	c.InjectTargetAck(5, 2) // a descendant the new parent must learn about
+	c.InjectTargetAckFrom(5, 0, 2, nil) // a descendant the new parent must learn about
 	base := c.clock.Now()
 
 	c.hierMaintain(base + 5)
@@ -319,7 +328,7 @@ func TestHierRepairRetransmitsToLaggingDescendant(t *testing.T) {
 	if child.count() != 1 {
 		t.Fatalf("dissemination sent %d frames, want 1", child.count())
 	}
-	c.InjectTargetAck(3, 2) // lag 3 > 1
+	c.InjectTargetAckFrom(3, 0, 2, nil) // lag 3 > 1
 	base := c.clock.Now()
 	c.hierMaintain(base + 1)
 	if child.count() != 2 {
@@ -333,7 +342,7 @@ func TestHierRepairRetransmitsToLaggingDescendant(t *testing.T) {
 	if child.count() != 3 {
 		t.Errorf("retransmit stopped while still lagging (frames %d)", child.count())
 	}
-	c.InjectTargetAck(3, 5) // caught up
+	c.InjectTargetAckFrom(3, 0, 5, nil) // caught up
 	c.hierMaintain(base + 3)
 	if child.count() != 3 {
 		t.Errorf("retransmitted to a caught-up subtree (frames %d)", child.count())

@@ -82,9 +82,8 @@ func TestPartitionSurvivesPeerOutage(t *testing.T) {
 		flaky.Store(f)
 		return transport.NewConn(f), nil
 	}
-	// Batching on both ends: each side's hello negotiates FeatureBatch, so
-	// the outage/stall/sever cycle below also exercises batch frames and
-	// their per-member loss accounting.
+	// Batching on both ends, so the outage/stall/sever cycle below also
+	// exercises batch frames and their per-member loss accounting.
 	linkA := NewResilientLink(dialA, transport.ResilientOptions{
 		QueueSize:    64,
 		WriteTimeout: 50 * time.Millisecond,

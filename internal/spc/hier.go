@@ -4,10 +4,8 @@
 // children instead of fanning out to every node, and still learns how
 // far every descendant has applied. The tree is pure wiring on top of
 // the existing target vocabulary: a relay that applies an epoch
-// re-broadcasts the SAME frames to its own children, stale-epoch
-// rejection dedups the inevitable re-deliveries, and v1/v2 peers that
-// never advertised FeatureHier simply hang off the tree as leaves that
-// get targets and send no acks.
+// re-broadcasts the SAME frames to its own children, and stale-epoch
+// rejection dedups the inevitable re-deliveries.
 package spc
 
 import (
@@ -18,28 +16,19 @@ import (
 
 	"aces/internal/hier"
 	"aces/internal/optimize"
-	"aces/internal/transport"
 )
 
 // hierDecomposition lets retarget.go hold the prebuilt partition without
 // importing internal/hier itself.
 type hierDecomposition = hier.Decomposition
 
-// EpochAckSender is the uplink extension for upward dissemination acks,
-// the tree-parent analogue of TargetSender. Senders must be best-effort
-// and non-blocking: a lost ack is repaired by the ack that follows the
-// next target frame.
-type EpochAckSender interface {
-	SendTargetAck(origin int32, epoch uint64) error
-}
-
 // hierRelay is a cluster's position in the dissemination tree.
 type hierRelay struct {
 	mu sync.Mutex
 	// parent receives this process's acks (nil at the root).
-	parent EpochAckSender
+	parent ControlSender
 	// children receive relayed target frames (empty at a leaf).
-	children []TargetSender
+	children []ControlSender
 	// origin is the node ID this process acks as.
 	origin int32
 	// acked[o] is the newest epoch acked by descendant origin o.
@@ -50,7 +39,7 @@ type hierRelay struct {
 	repair bool
 	// backups is the ordered standby-parent list; a parent-silence verdict
 	// promotes the head and re-acks the whole subtree through it.
-	backups []EpochAckSender
+	backups []ControlSender
 	// silenceAfter is the parent-death timeout in virtual seconds.
 	silenceAfter float64
 	// retransLag / retransEvery bound the lag-based retransmission: a
@@ -74,12 +63,12 @@ type hierRelay struct {
 // Start. Once enabled, SetTargets/SetReplicaTargets disseminate through
 // the children instead of the flat uplink; received epochs are relayed
 // down and acked up automatically.
-func (c *Cluster) EnableHierRelay(origin int32, parent EpochAckSender, children ...TargetSender) {
+func (c *Cluster) EnableHierRelay(origin int32, parent ControlSender, children ...ControlSender) {
 	c.hier.mu.Lock()
 	defer c.hier.mu.Unlock()
 	c.hier.origin = origin
 	c.hier.parent = parent
-	c.hier.children = append([]TargetSender(nil), children...)
+	c.hier.children = append([]ControlSender(nil), children...)
 	c.hier.acked = make(map[int32]uint64)
 	c.hier.enabled = true
 }
@@ -98,7 +87,7 @@ type HierRepair struct {
 	// Backups is the ordered standby-parent list (may be empty: a node
 	// with no alternatives still gets lag-based retransmission and the
 	// periodic re-ack probe).
-	Backups []EpochAckSender
+	Backups []ControlSender
 	// ParentSilenceAfter is how long (virtual seconds) without a
 	// controller frame before the parent is declared dead and the head
 	// backup promoted. Must exceed the retarget period — fresh frames
@@ -132,7 +121,7 @@ func (c *Cluster) EnableHierRepair(hr HierRepair) error {
 	c.hier.mu.Lock()
 	defer c.hier.mu.Unlock()
 	c.hier.repair = true
-	c.hier.backups = append([]EpochAckSender(nil), hr.Backups...)
+	c.hier.backups = append([]ControlSender(nil), hr.Backups...)
 	c.hier.silenceAfter = hr.ParentSilenceAfter
 	c.hier.retransLag = hr.RetransmitLag
 	c.hier.retransEvery = hr.RetransmitEvery
@@ -177,7 +166,7 @@ func (c *Cluster) hierMaintain(now float64) {
 			}
 		}
 	}
-	var reparentTo EpochAckSender
+	var reparentTo ControlSender
 	var origin int32
 	var replay map[int32]uint64
 	if h.parent != nil && h.silenceAfter > 0 {
@@ -211,44 +200,24 @@ func (c *Cluster) hierMaintain(now float64) {
 		// Re-ack own position first, then the descendants: the new parent
 		// sees this subtree's applied epoch before any (older) descendant
 		// epochs, so its lagging-ack push fires at most once.
-		sendAckTo(reparentTo, origin, ts.term, ts.epoch)
+		_ = reparentTo.SendTargetAck(origin, ts.term, ts.epoch)
 		for o, e := range replay {
 			if o == origin {
 				continue
 			}
-			sendAckTo(reparentTo, o, ts.term, e)
+			_ = reparentTo.SendTargetAck(o, ts.term, e)
 		}
 	}
 }
 
-// sendTargetsTo pushes one target set to one peer at the richest
-// vocabulary the peer speaks: replica form when it has the elastic
-// extension, distinct (term, epoch) when it is term-aware, the collapsed
-// term<<32|epoch scalar otherwise — the same per-peer degradation as the
-// flat path.
-func sendTargetsTo(peer TargetSender, ts *targetSet) error {
+// sendTargetsTo pushes one target set to one peer in the form it was
+// installed in: the per-slot matrix for a replica set, the logical
+// vector otherwise.
+func sendTargetsTo(peer ControlSender, ts *targetSet) error {
 	if ts.rep != nil {
-		if trs, ok := peer.(TermReplicaTargetSender); ok {
-			return trs.SendTermReplicaTargets(ts.term, ts.epoch, ts.rep)
-		}
-		if rts, ok := peer.(ReplicaTargetSender); ok {
-			return rts.SendReplicaTargets(transport.CollapseTermEpoch(ts.term, ts.epoch), ts.rep)
-		}
+		return peer.SendReplicaTargets(ts.term, ts.epoch, ts.rep)
 	}
-	if tts, ok := peer.(TermTargetSender); ok {
-		return tts.SendTermTargets(ts.term, ts.epoch, ts.cpu)
-	}
-	return peer.SendTargets(transport.CollapseTermEpoch(ts.term, ts.epoch), ts.cpu)
-}
-
-// sendAckTo reports one descendant's applied (term, epoch) to a tree
-// parent, collapsing for parents that predate the term feature.
-func sendAckTo(parent EpochAckSender, origin int32, term, epoch uint64) {
-	if ta, ok := parent.(TermAckSender); ok {
-		_ = ta.SendTermTargetAck(origin, term, epoch)
-		return
-	}
-	_ = parent.SendTargetAck(origin, transport.CollapseTermEpoch(term, epoch))
+	return peer.SendTargets(ts.term, ts.epoch, ts.cpu)
 }
 
 // relayTargetsDown pushes the applied target set to every tree child.
@@ -285,14 +254,7 @@ func (c *Cluster) ackTargetsUp() {
 		return
 	}
 	ts := c.targets.Load()
-	sendAckTo(parent, origin, ts.term, ts.epoch)
-}
-
-// InjectTargetAck records a descendant's applied epoch under collapsed
-// term<<32|epoch semantics (legacy links and flat peers).
-func (c *Cluster) InjectTargetAck(origin int32, epoch uint64) {
-	term, e := transport.SplitTermEpoch(epoch)
-	c.InjectTargetAckFrom(origin, term, e, nil)
+	_ = parent.SendTargetAck(origin, ts.term, ts.epoch)
 }
 
 // InjectTargetAckFrom records a descendant's applied (term, epoch) and
@@ -306,7 +268,7 @@ func (c *Cluster) InjectTargetAck(origin int32, epoch uint64) {
 // epochs to an orphan that re-parented onto us, without anyone having to
 // adopt it as a configured child. Called by the link layer for
 // KindTargetAck frames.
-func (c *Cluster) InjectTargetAckFrom(origin int32, term, epoch uint64, from TargetSender) {
+func (c *Cluster) InjectTargetAckFrom(origin int32, term, epoch uint64, from ControlSender) {
 	h := &c.hier
 	h.mu.Lock()
 	if h.acked == nil {
@@ -333,7 +295,7 @@ func (c *Cluster) InjectTargetAckFrom(origin int32, term, epoch uint64, from Tar
 		}
 	}
 	if fresh && parent != nil {
-		sendAckTo(parent, origin, term, epoch)
+		_ = parent.SendTargetAck(origin, term, epoch)
 	}
 }
 

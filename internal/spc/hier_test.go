@@ -37,8 +37,8 @@ func chain3(t *testing.T) *graph.Topology {
 	return topo
 }
 
-// tcpPair returns a connected (client, server) conn pair with hellos
-// exchanged in both directions once Recv loops run.
+// tcpPair returns a connected (client, server) conn pair. Neither side
+// sends a hello: plain Links need none.
 func tcpPair(t *testing.T) (*transport.Conn, *transport.Conn) {
 	t.Helper()
 	lis, err := transport.Listen("127.0.0.1:0")
@@ -65,9 +65,6 @@ func tcpPair(t *testing.T) (*transport.Conn, *transport.Conn) {
 	}
 	return cli, srv
 }
-
-const hierTestFeatures = transport.FeatureHeartbeat | transport.FeatureRetarget |
-	transport.FeatureElastic | transport.FeatureHier
 
 // Three processes in a chain root→mid→leaf over real TCP: an epoch set
 // at the root must reach the leaf through the mid relay (the root sends
@@ -119,20 +116,12 @@ func TestHierRelayThreeProcessChain(t *testing.T) {
 	mid.EnableHierRelay(1, midUp, midDown)
 	leaf.EnableHierRelay(2, leafLink)
 
-	// Serve loops pump frames into each cluster; hellos announce
-	// FeatureHier so ack frames are not silently withheld.
+	// Serve loops pump frames into each cluster.
 	serve := func(l *Link, c *Cluster) { go func() { _ = l.Serve(c) }() }
 	serve(rootLink, root)
 	serve(midUp, mid)
 	serve(midDown, mid)
 	serve(leafLink, leaf)
-	for _, cn := range conns {
-		if err := cn.SendHello(hierTestFeatures); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Hellos are consumed by the peer's Serve loop; wait until both hops
-	// have negotiated before disseminating.
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(3 * time.Second)
@@ -143,10 +132,6 @@ func TestHierRelayThreeProcessChain(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	waitFor("hello negotiation", func() bool {
-		return rootMidCli.PeerSupportsHier() && rootMidSrv.PeerSupportsHier() &&
-			midLeafCli.PeerSupportsHier() && midLeafSrv.PeerSupportsHier()
-	})
 
 	next := []float64{0.5, 0.3, 0.5, 0.3, 0.5, 0.3}
 	if err := root.SetTargets(1, next); err != nil {
@@ -195,6 +180,46 @@ func TestHierRelayThreeProcessChain(t *testing.T) {
 	}
 }
 
+// Two plain Links, no hello sent by anyone: a target set disseminated
+// through the tree reaches the child, and the child's ack reaches the
+// root. Nothing on a Link waits for, or is gated by, a hello.
+func TestPlainLinksDisseminateWithoutHello(t *testing.T) {
+	topo := chain3(t)
+	cpu := []float64{0.4, 0.4, 0.4, 0.4, 0.4, 0.4}
+	cli, srv := tcpPair(t)
+	defer cli.Close()
+	defer srv.Close()
+	down, up := NewLink(cli), NewLink(srv)
+	mk := func(nodes []sdo.NodeID, link *Link) *Cluster {
+		c, err := NewCluster(Config{
+			Topo: topo, Policy: policy.ACES, CPU: cpu, TimeScale: 20, Warmup: 1, Seed: 7,
+			LocalNodes: nodes, Uplink: link,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	root := mk([]sdo.NodeID{0}, down)
+	child := mk([]sdo.NodeID{1, 2}, up)
+	root.EnableHierRelay(0, nil, down)
+	child.EnableHierRelay(1, up)
+	go func() { _ = down.Serve(root) }()
+	go func() { _ = up.Serve(child) }()
+
+	if err := root.SetTargets(1, []float64{0.5, 0.3, 0.5, 0.3, 0.5, 0.3}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for child.TargetsEpoch() != 1 || root.AckedEpochs()[1] != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("child at epoch %d, root acked %v: targets or ack never crossed a plain Link",
+				child.TargetsEpoch(), root.AckedEpochs())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // Epoch lag must surface while a descendant is behind: feed the root an
 // ack for an old epoch and check the gauge math.
 func TestHierEpochLagTracksSlowDescendant(t *testing.T) {
@@ -211,17 +236,17 @@ func TestHierEpochLagTracksSlowDescendant(t *testing.T) {
 	if err := root.applyTargets(0, 3, cpu); err != nil {
 		t.Fatal(err)
 	}
-	root.InjectTargetAck(1, 3)
-	root.InjectTargetAck(2, 1)
+	root.InjectTargetAckFrom(1, 0, 3, nil)
+	root.InjectTargetAckFrom(2, 0, 1, nil)
 	if lag := root.EpochLag(); lag != 2 {
 		t.Errorf("epoch lag = %d, want 2 (origin 2 stuck at epoch 1)", lag)
 	}
-	root.InjectTargetAck(2, 3)
+	root.InjectTargetAckFrom(2, 0, 3, nil)
 	if lag := root.EpochLag(); lag != 0 {
 		t.Errorf("epoch lag = %d after catch-up, want 0", lag)
 	}
 	// Regressions (an out-of-order old ack) must not roll the view back.
-	root.InjectTargetAck(2, 1)
+	root.InjectTargetAckFrom(2, 0, 1, nil)
 	if lag := root.EpochLag(); lag != 0 {
 		t.Errorf("stale ack rolled lag back to %d", lag)
 	}

@@ -23,7 +23,6 @@ import (
 
 	"aces/internal/obs"
 	"aces/internal/sdo"
-	"aces/internal/transport"
 )
 
 // repKey composes the feedback-board key of replica slot (j, rep). Slot 0's
@@ -64,8 +63,8 @@ func routeIndex(s sdo.SDO, n int) int {
 }
 
 // slot returns the CPU target of replica slot (j, rep) under this set. A
-// set installed through the logical path (SetTargets, v1 peers) has no
-// per-slot matrix; it collapses every group onto the primary.
+// set installed through the logical path (SetTargets) has no per-slot
+// matrix; it collapses every group onto the primary.
 func (ts *targetSet) slot(j sdo.PEID, rep int32) float64 {
 	if ts.rep == nil {
 		if rep == 0 {
@@ -203,33 +202,10 @@ func (c *Cluster) buildRing(j sdo.PEID, act []int32, w []float64) []replicaRef {
 }
 
 // ElasticLink is the optional RemoteLink extension carrying
-// replica-addressed SDOs. Links that do not implement it (or whose peer
-// predates the elastic feature) deliver by logical PE instead; the
-// receiver re-routes among its local replicas, so the frame is never lost
-// to a vocabulary gap.
+// replica-addressed SDOs. Links that do not implement it deliver by
+// logical PE instead; the receiver re-routes among its local replicas.
 type ElasticLink interface {
 	SendReplicaSDO(to sdo.PEID, rep int32, s sdo.SDO) error
-}
-
-// ReplicaTargetSender is the optional uplink extension disseminating
-// per-replica-slot target sets. Senders must collapse to the logical
-// vector for peers that only speak TargetSender — a dual-capable peer must
-// receive exactly one frame per epoch, never both forms.
-type ReplicaTargetSender interface {
-	SendReplicaTargets(epoch uint64, cpu [][]float64) error
-}
-
-// collapseTargets folds a per-slot target matrix into the logical CPU
-// vector a pre-elastic peer understands (it will run the group's whole
-// target on the primary slot).
-func collapseTargets(rep [][]float64) []float64 {
-	cpu := make([]float64, len(rep))
-	for j := range rep {
-		for _, v := range rep[j] {
-			cpu[j] += v
-		}
-	}
-	return cpu
 }
 
 // sendReplicaSDO forwards an SDO to a replica slot hosted by a peer
@@ -246,8 +222,7 @@ func (c *Cluster) sendReplicaSDO(d sdo.PEID, rep int32, s sdo.SDO) error {
 }
 
 // SetReplicaTargets applies a per-replica-slot target matrix under the
-// given epoch and disseminates it (replica form to elastic peers, the
-// collapsed logical vector to the rest). rep[j] must have exactly
+// given epoch and disseminates it. rep[j] must have exactly
 // Topology.Replicas(j) entries; a slot's target of 0 deactivates it, which
 // drains its buffer through the new epoch's routes on the owning node's
 // next tick. Epoch semantics match SetTargets: strictly newer or
@@ -260,16 +235,9 @@ func (c *Cluster) SetReplicaTargets(epoch uint64, rep [][]float64) error {
 	return nil
 }
 
-// InjectReplicaTargets applies a replica target set received from a peer
-// process under collapsed term<<32|epoch semantics (v1/v2-flat peers).
-func (c *Cluster) InjectReplicaTargets(epoch uint64, rep [][]float64) {
-	term, e := transport.SplitTermEpoch(epoch)
-	c.InjectTermReplicaTargets(term, e, rep)
-}
-
 // InjectTermReplicaTargets applies a replica target set received from a
 // peer process. Stale epochs and deposed terms are dropped silently;
-// nothing is re-broadcast toward flat peers. Tree relays forward fresh
+// nothing is re-broadcast outside the tree. Tree relays forward fresh
 // epochs to their children and ack every received frame upward, exactly
 // as InjectTermTargets does.
 func (c *Cluster) InjectTermReplicaTargets(term, epoch uint64, rep [][]float64) {

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"aces/internal/optimize"
-	"aces/internal/transport"
 )
 
 // targetSet is an immutable epoch-stamped CPU target vector. The cluster
@@ -48,36 +47,6 @@ type targetSet struct {
 	nodeSum []float64
 }
 
-// TargetSender is the uplink extension for target dissemination, the
-// retargeting analogue of HeartbeatSender: the coordinator broadcasts each
-// accepted epoch to peer processes. Senders must be best-effort and
-// non-blocking; dissemination is periodic and epoch-idempotent, so a lost
-// frame is repaired by the next broadcast.
-type TargetSender interface {
-	SendTargets(epoch uint64, cpu []float64) error
-}
-
-// TermTargetSender is the term-aware extension of TargetSender: links
-// whose peer advertised transport.FeatureTerm carry the controller term
-// as a distinct wire field. Senders without it receive the collapsed
-// term<<32|epoch scalar in the legacy epoch argument — numerically the
-// same lexicographic order, so flat v1/v2 peers fence correctly without
-// knowing terms exist.
-type TermTargetSender interface {
-	SendTermTargets(term, epoch uint64, cpu []float64) error
-}
-
-// TermReplicaTargetSender is the term-aware ReplicaTargetSender.
-type TermReplicaTargetSender interface {
-	SendTermReplicaTargets(term, epoch uint64, cpu [][]float64) error
-}
-
-// TermAckSender is the term-aware EpochAckSender: dissemination acks
-// carry the acker's applied (term, epoch) pair.
-type TermAckSender interface {
-	SendTermTargetAck(origin int32, term, epoch uint64) error
-}
-
 // ErrStaleEpoch reports a SetTargets whose epoch is not strictly newer
 // than the applied one — a late or duplicate dissemination, dropped so an
 // out-of-order frame can never roll the cluster back to old targets.
@@ -108,7 +77,7 @@ func (c *Cluster) Targets() (uint64, []float64) {
 func (c *Cluster) Retargets() int64 { return c.retargets.Load() }
 
 // SetTargets applies a new CPU target vector under the given epoch and
-// broadcasts it to peer processes (when the uplink supports targets). The
+// broadcasts it to peer processes (when the uplink is a ControlSender). The
 // epoch must be strictly greater than the applied one; stale epochs return
 // ErrStaleEpoch and change nothing. The set is stamped with this process's
 // controller term (0 until ClaimControl raises it). Application is
@@ -121,14 +90,6 @@ func (c *Cluster) SetTargets(epoch uint64, cpu []float64) error {
 	}
 	c.broadcastTargets()
 	return nil
-}
-
-// InjectTargets applies a target set received from a peer process under
-// collapsed term<<32|epoch semantics (v1/v2-flat peers; a plain epoch is
-// term 0, so the pre-term wire behaves identically).
-func (c *Cluster) InjectTargets(epoch uint64, cpu []float64) {
-	term, e := transport.SplitTermEpoch(epoch)
-	c.InjectTermTargets(term, e, cpu)
 }
 
 // InjectTermTargets applies a target set received from a peer process.
@@ -244,29 +205,9 @@ func (c *Cluster) broadcastTargets() {
 		c.relayTargetsDown()
 		return
 	}
-	ts := c.targets.Load()
-	// Best effort by contract: the next periodic broadcast repairs a loss.
-	// A replica-form set goes out through the elastic extension when the
-	// uplink has one — the link layer collapses per peer as needed, so a
-	// dual-capable peer sees exactly one frame per epoch. Without the
-	// extension, every peer gets the collapsed logical vector. Term-aware
-	// uplinks carry (term, epoch) distinctly; the rest get the collapsed
-	// scalar, which orders identically.
-	if ts.rep != nil && c.rts != nil {
-		if trs, ok := c.rts.(TermReplicaTargetSender); ok {
-			_ = trs.SendTermReplicaTargets(ts.term, ts.epoch, ts.rep)
-		} else {
-			_ = c.rts.SendReplicaTargets(transport.CollapseTermEpoch(ts.term, ts.epoch), ts.rep)
-		}
-		return
-	}
-	if c.tgs == nil {
-		return
-	}
-	if tts, ok := c.tgs.(TermTargetSender); ok {
-		_ = tts.SendTermTargets(ts.term, ts.epoch, ts.cpu)
-	} else {
-		_ = c.tgs.SendTargets(transport.CollapseTermEpoch(ts.term, ts.epoch), ts.cpu)
+	if c.ctl != nil {
+		// Best effort by contract: the next periodic broadcast repairs a loss.
+		_ = sendTargetsTo(c.ctl, c.targets.Load())
 	}
 }
 
@@ -317,8 +258,7 @@ type RetargetConfig struct {
 	// Elastic switches the re-solve to SolveElastic: the loop chooses
 	// per-replica-slot targets from the calibrated models (a replica adds
 	// a_j·c̄ − b_j capacity but pays the overhead b_j again) and
-	// disseminates them as replica target sets; peers that predate the
-	// elastic feature receive the collapsed logical vector.
+	// disseminates them as replica target sets.
 	Elastic bool
 	// OnRetarget, when set, is invoked after each accepted epoch with the
 	// new targets (testing and logging hook; called from the loop

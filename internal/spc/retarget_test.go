@@ -72,12 +72,12 @@ func TestSetTargetsValidatesAndOrdersEpochs(t *testing.T) {
 		t.Errorf("failed SetTargets advanced the epoch to %d", e)
 	}
 
-	// InjectTargets is the receive path: silent on stale, applied on new.
-	c.InjectTargets(1, []float64{0.9, 0.1}) // stale — dropped
+	// InjectTermTargets is the receive path: silent on stale, applied on new.
+	c.InjectTermTargets(0, 1, []float64{0.9, 0.1}) // stale — dropped
 	if _, cpu := c.Targets(); cpu[0] != 0.4 {
 		t.Errorf("stale inject applied: %v", cpu)
 	}
-	c.InjectTargets(5, []float64{0.7, 0.3})
+	c.InjectTermTargets(0, 5, []float64{0.7, 0.3})
 	if e, cpu := c.Targets(); e != 5 || cpu[0] != 0.7 {
 		t.Errorf("inject not applied: epoch %d cpu %v", e, cpu)
 	}

@@ -115,6 +115,27 @@ type RemoteLink interface {
 	SendFeedback(pe int32, rmax float64) error
 }
 
+// ControlSender is the optional RemoteLink extension carrying the
+// control plane besides feedback: liveness beacons, (term, epoch)-stamped
+// target sets and dissemination acks. Link, ResilientLink and Router
+// implement it; an uplink without it simply never beacons or
+// disseminates. Sends must be best-effort and non-blocking: beacons and
+// target broadcasts are periodic and (term, epoch)-idempotent, so a lost
+// frame is repaired by the next one, and a lost ack by the ack that
+// follows the next target frame.
+type ControlSender interface {
+	// SendHeartbeat asserts that node `node` is alive; seq increments per
+	// beacon.
+	SendHeartbeat(node int32, seq uint64) error
+	// SendTargets disseminates a logical CPU target vector.
+	SendTargets(term, epoch uint64, cpu []float64) error
+	// SendReplicaTargets disseminates a per-replica-slot target matrix.
+	SendReplicaTargets(term, epoch uint64, rep [][]float64) error
+	// SendTargetAck reports up the dissemination tree that node origin
+	// has applied targets through (term, epoch).
+	SendTargetAck(origin int32, term, epoch uint64) error
+}
+
 func (c *Config) fillDefaults() error {
 	if c.Topo == nil {
 		return fmt.Errorf("spc: Topo is required")
@@ -401,8 +422,6 @@ type Cluster struct {
 	// Failure domain (all nil/zero when Config.Health is unset or the
 	// deployment is unpartitioned).
 	det *health.Detector
-	// hbs is the uplink's heartbeat extension (nil if unsupported).
-	hbs HeartbeatSender
 	// hbSeq is owned by the snapshot node's scheduler.
 	hbSeq uint64
 	// localNodeIDs lists the nodes this process beacons for.
@@ -418,12 +437,16 @@ type Cluster struct {
 	// produces the time series instead of every scheduler racing to.
 	snapNode int
 
+	// ctl and els are the uplink's optional extensions (nil if
+	// unsupported): control frames (heartbeats, target dissemination,
+	// acks) and replica-addressed SDO forwarding.
+	ctl ControlSender
+	els ElasticLink
+
 	// Retargeting state: targets is the applied epoch-stamped CPU target
-	// set (schedulers load it once per tick), tgs the uplink's target
-	// dissemination extension (nil if unsupported), retargets the count of
+	// set (schedulers load it once per tick), retargets the count of
 	// accepted epochs, gEpoch its telemetry gauge.
 	targets   atomic.Pointer[targetSet]
-	tgs       TargetSender
 	retargets atomic.Int64
 	// coldSolves counts adaptive-loop re-solves that fell back to a cold
 	// start (missing or wrong-shaped warm start after a topology change) —
@@ -431,10 +454,6 @@ type Cluster struct {
 	// here would hide a real latency regression.
 	coldSolves atomic.Int64
 	gEpoch     *obs.Gauge
-	// els and rts are the uplink's elastic extensions (nil if unsupported):
-	// replica-addressed SDO forwarding and replica target dissemination.
-	els ElasticLink
-	rts ReplicaTargetSender
 	// hier is the dissemination-tree state (inert for flat deployments);
 	// see EnableHierRelay. framesSent counts target frames pushed to tree
 	// children; lastSolveMs/lastSolveIters snapshot the most recent
@@ -727,22 +746,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				c.gMember[n] = c.reg.Gauge("member_state", obs.Labels{"node": fmt.Sprint(n)})
 			}
 		}
-		if hbs, ok := cfg.Uplink.(HeartbeatSender); ok {
-			c.hbs = hbs
-		}
 	}
 	// Term 0 / epoch 0 is the deployment-time allocation; schedulers apply
-	// later epochs hitlessly as SetTargets/InjectTargets install them.
+	// later epochs hitlessly as SetTargets/InjectTermTargets install them.
 	c.targets.Store(c.makeTargetSet(0, 0, append([]float64(nil), cfg.CPU...), nil))
-	if tgs, ok := cfg.Uplink.(TargetSender); ok {
-		c.tgs = tgs
-	}
-	if els, ok := cfg.Uplink.(ElasticLink); ok {
-		c.els = els
-	}
-	if rts, ok := cfg.Uplink.(ReplicaTargetSender); ok {
-		c.rts = rts
-	}
+	c.ctl, _ = cfg.Uplink.(ControlSender)
+	c.els, _ = cfg.Uplink.(ElasticLink)
 	if c.reg != nil {
 		c.gEpoch = c.reg.Gauge("retarget_epoch", nil)
 		c.gSolveMs = c.reg.Gauge("solve_ms", nil)
@@ -1491,7 +1500,6 @@ type linkGauges struct {
 	queueLen                  *obs.Gauge
 	batchFrames, perBatch     *obs.Gauge
 	ctlDropped                *obs.Gauge
-	ctlFeatDropped            *obs.Gauge
 }
 
 // AttachLink registers an uplink whose counters should appear in this
@@ -1509,14 +1517,13 @@ func (c *Cluster) AttachLink(s LinkStatsSource) {
 	if c.reg != nil {
 		labels := obs.Labels{"link": fmt.Sprintf("%d", len(c.links)-1)}
 		c.linkGauges = append(c.linkGauges, linkGauges{
-			sent:           c.reg.Gauge("link_frames_sent", labels),
-			dropped:        c.reg.Gauge("link_frames_dropped", labels),
-			reconnects:     c.reg.Gauge("link_reconnects", labels),
-			queueLen:       c.reg.Gauge("link_queue_len", labels),
-			batchFrames:    c.reg.Gauge("batch_frames", labels),
-			perBatch:       c.reg.Gauge("sdos_per_batch", labels),
-			ctlDropped:     c.reg.Gauge("control_frames_dropped_total", labels),
-			ctlFeatDropped: c.reg.Gauge("ctl_feature_dropped_total", labels),
+			sent:        c.reg.Gauge("link_frames_sent", labels),
+			dropped:     c.reg.Gauge("link_frames_dropped", labels),
+			reconnects:  c.reg.Gauge("link_reconnects", labels),
+			queueLen:    c.reg.Gauge("link_queue_len", labels),
+			batchFrames: c.reg.Gauge("batch_frames", labels),
+			perBatch:    c.reg.Gauge("sdos_per_batch", labels),
+			ctlDropped:  c.reg.Gauge("control_frames_dropped_total", labels),
 		})
 	}
 }
@@ -1537,7 +1544,6 @@ func (c *Cluster) sampleLinks() {
 		g.queueLen.Set(float64(s.QueueLen))
 		g.batchFrames.Set(float64(s.BatchesSent))
 		g.ctlDropped.Set(float64(s.ControlDropped))
-		g.ctlFeatDropped.Set(float64(s.CtlFeatureDropped))
 		fill := 0.0
 		if s.BatchesSent > 0 {
 			fill = float64(s.BatchedFrames) / float64(s.BatchesSent)

@@ -67,13 +67,6 @@ func (h *HealthConfig) fillDefaults(dt float64) {
 	}
 }
 
-// HeartbeatSender is the optional RemoteLink extension carrying liveness
-// beacons. Links that do not implement it simply never assert liveness;
-// the cluster still judges peers by the beats it receives.
-type HeartbeatSender interface {
-	SendHeartbeat(node int32, seq uint64) error
-}
-
 // runPE supervises one PE goroutine for the cluster's lifetime: each
 // panic is recovered, the PE restarts — against the SAME input buffer, so
 // queued SDOs survive the crash — after a jittered exponential backoff,
@@ -338,13 +331,15 @@ func (c *Cluster) Health() HealthStatus {
 
 // sendHeartbeats emits one beacon per local node over the uplink. Owned
 // by the snapshot node's scheduler; best effort, like feedback — a lost
-// beacon is repaired by the next one.
+// beacon is repaired by the next one. An uplink without ControlSender
+// never asserts liveness; the cluster still judges peers by the beats it
+// receives.
 func (c *Cluster) sendHeartbeats() {
-	if c.hbs == nil {
+	if c.ctl == nil {
 		return
 	}
 	for _, n := range c.localNodeIDs {
 		c.hbSeq++
-		_ = c.hbs.SendHeartbeat(n, c.hbSeq)
+		_ = c.ctl.SendHeartbeat(n, c.hbSeq)
 	}
 }

@@ -82,33 +82,6 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHelloRecordsPeerFeatures(t *testing.T) {
-	client, server := pair(t)
-	if server.PeerSupportsBatch() {
-		t.Fatal("batch support advertised before any hello")
-	}
-	if err := client.SendHello(FeatureBatch); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.SendSDO(sdo.SDO{Seq: 5, Origin: time.Now()}); err != nil {
-		t.Fatal(err)
-	}
-	// Recv consumes the hello internally and yields the data frame.
-	msg, err := server.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Kind != KindData || msg.SDO.Seq != 5 {
-		t.Fatalf("hello leaked to the caller: %+v", msg)
-	}
-	if !server.PeerSupportsBatch() {
-		t.Error("hello did not record FeatureBatch")
-	}
-	if client.PeerSupportsBatch() {
-		t.Error("client assumed batch support from a silent peer")
-	}
-}
-
 // malformedBatch is a hand-built batch body the decoder must refuse.
 type malformedBatch struct {
 	name string
@@ -169,6 +142,42 @@ func TestBatchDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestRecvChecksHelloVersion: a hello of this binary's version is
+// consumed inside Recv, which yields the next frame; a hello of any other
+// version fails Recv, so the peer is refused rather than misread.
+func TestRecvChecksHelloVersion(t *testing.T) {
+	client, server := pair(t)
+	if err := client.SendHello(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.SendSDO(sdo.SDO{Seq: 5, Origin: time.Now()}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := server.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Kind != KindData || msg.SDO.Seq != 5 {
+		t.Fatalf("hello leaked to the caller: %+v", msg)
+	}
+
+	raw, framed := rawPair(t)
+	// A version-2 hello (version byte plus the feature word v2 carried),
+	// then a data frame that must not be delivered behind it.
+	v2 := []byte{byte(KindHello), 0, 0, 0, 9, 2, 0, 0, 0, 0, 0, 0, 0, 0x3F}
+	data, err := encodeSDO(nil, sdo.SDO{Seq: 6, Origin: time.Unix(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2 = append(append(v2, byte(KindData), 0, 0, 0, byte(len(data))), data...)
+	if _, err := raw.Write(v2); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := framed.Recv(); err == nil {
+		t.Errorf("hello of protocol version 2 accepted; delivered %+v", msg)
+	}
+}
+
 func TestRecvRejectsBadHelloFrame(t *testing.T) {
 	raw, framed := rawPair(t)
 	hdr := []byte{byte(KindHello), 0, 0, 0, 2}
@@ -189,20 +198,13 @@ func TestSendBatchRejectsOversizedTotal(t *testing.T) {
 }
 
 // TestResilientBatchesWhenNegotiated proves the end-to-end coalescing
-// path: a batch-capable peer advertises support, and the writer folds an
-// outbox backlog into KindBatch frames whose members all arrive.
+// path: with BatchMax > 1 the writer folds an outbox backlog into
+// KindBatch frames whose members all arrive. The counting server never
+// sends a hello; batching does not wait for one.
 func TestResilientBatchesWhenNegotiated(t *testing.T) {
 	srv := newCountingServer(t)
 	rc := NewResilientConn(func() (*Conn, error) {
-		c, err := Dial(srv.addr(), time.Second)
-		if err != nil {
-			return nil, err
-		}
-		// Stand in for the peer's hello (the counting server does not send
-		// one); negotiation itself is covered by TestHelloRecordsPeerFeatures
-		// and the spc partition tests where both ends run ResilientConns.
-		c.setPeerFeatures(FeatureBatch)
-		return c, nil
+		return Dial(srv.addr(), time.Second)
 	}, ResilientOptions{BatchMax: 32, BatchLinger: 20 * time.Millisecond})
 	defer rc.Close()
 
@@ -218,40 +220,10 @@ func TestResilientBatchesWhenNegotiated(t *testing.T) {
 		t.Errorf("stats = %+v, want %d sent, 0 dropped", st, total)
 	}
 	if st.BatchesSent == 0 {
-		t.Fatalf("no batch frames sent despite negotiated support: %+v", st)
+		t.Fatalf("no batch frames sent with BatchMax 32: %+v", st)
 	}
 	if fill := float64(st.BatchedFrames) / float64(st.BatchesSent); fill < 2 {
 		t.Errorf("mean batch fill %.1f < 2; writer is not coalescing", fill)
-	}
-}
-
-// TestResilientFallsBackAgainstOldPeer is the interop case: the peer never
-// sends a hello (an un-upgraded binary), so every SDO must go out as a
-// plain per-SDO frame the old vocabulary understands.
-func TestResilientFallsBackAgainstOldPeer(t *testing.T) {
-	srv := newCountingServer(t)
-	rc := NewResilientConn(func() (*Conn, error) {
-		return Dial(srv.addr(), time.Second)
-	}, ResilientOptions{BatchMax: 32, BatchLinger: 5 * time.Millisecond})
-	defer rc.Close()
-
-	const total = 100
-	for i := 0; i < total; i++ {
-		if err := rc.SendSDO(sdo.SDO{Seq: uint64(i), Origin: time.Now()}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	// The writer counts a frame after its write returns, which can be after
-	// the server has already read it: wait for both ends.
-	waitFor(t, 5*time.Second, func() bool {
-		return srv.frames.Load() == total && rc.Stats().FramesSent == total
-	}, "fallback frames delivered")
-	st := rc.Stats()
-	if st.BatchesSent != 0 || st.BatchedFrames != 0 {
-		t.Errorf("batches sent to a peer that never advertised support: %+v", st)
-	}
-	if st.FramesSent != total {
-		t.Errorf("sent %d frames, want %d", st.FramesSent, total)
 	}
 }
 
@@ -271,9 +243,7 @@ func TestMidBatchSeverCountsMemberSDOs(t *testing.T) {
 		}
 		f := WrapFlaky(raw)
 		current.Store(f)
-		c := NewConn(f)
-		c.setPeerFeatures(FeatureBatch)
-		return c, nil
+		return NewConn(f), nil
 	}, ResilientOptions{
 		BatchMax:   32,
 		BackoffMin: 10 * time.Millisecond,

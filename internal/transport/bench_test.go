@@ -232,14 +232,7 @@ func BenchmarkPerFrameFlush(b *testing.B) {
 // end-to-end wire throughput, not the enqueue rate.
 func benchResilient(b *testing.B, opts ResilientOptions) {
 	addr := drainServer(b)
-	rc := NewResilientConn(func() (*Conn, error) {
-		c, err := Dial(addr, time.Second)
-		if err != nil {
-			return nil, err
-		}
-		c.setPeerFeatures(FeatureBatch)
-		return c, nil
-	}, opts)
+	rc := NewResilientConn(func() (*Conn, error) { return Dial(addr, time.Second) }, opts)
 	defer rc.Close()
 	s := wireSDO()
 	// Wait for the first connection so setup noise stays out of the timing.

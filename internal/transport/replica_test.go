@@ -1,8 +1,9 @@
 package transport
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
-	"time"
 
 	"aces/internal/sdo"
 )
@@ -64,71 +65,29 @@ func TestRecvRejectsBadReplicaFrame(t *testing.T) {
 	}
 }
 
-// TestResilientReplicaFallsBackForOldPeer: against a peer that never
-// negotiated FeatureElastic, a replica-addressed SDO must degrade to a
-// plain routed frame — the data survives, only the slot pinning is lost —
-// and replica target matrices must be withheld entirely.
-func TestResilientReplicaFallsBackForOldPeer(t *testing.T) {
-	lis, err := Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// TestReplicaTargetsRowCountBoundedByBody: a replica-targets header
+// claiming 4,194,304 rows and carrying none must be refused against the
+// bytes present, before the row table (96 MiB) is allocated; otherwise a
+// few bytes from a peer buy that allocation once per frame. The 12-byte
+// body makes the same claim in the header layout without the term.
+func TestReplicaTargetsRowCountBoundedByBody(t *testing.T) {
+	const rows = 1 << 22
+	bodies := map[string][]byte{
+		"20-byte header": binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 0), 1), rows),
+		"12-byte body":   binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, 1), rows),
 	}
-	defer lis.Close()
-	rcA := NewResilientConn(func() (*Conn, error) {
-		return Dial(lis.Addr(), time.Second)
-	}, ResilientOptions{})
-	defer rcA.Close()
-
-	// Peer B is a raw conn whose hand-written hello advertises retarget but
-	// NOT elastic — an un-upgraded binary one protocol generation back.
-	gotRouted := make(chan Message, 4)
-	accepted := make(chan *Conn, 1)
-	go func() {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		accepted <- conn
-		if err := conn.SendHello(FeatureHeartbeat | FeatureRetarget); err != nil {
-			t.Error(err)
-			return
-		}
-		for {
-			msg, err := conn.Recv()
-			if err != nil {
-				return
-			}
-			if msg.Kind == KindRouted || msg.Kind == KindReplica {
-				gotRouted <- msg
+	for name, body := range bodies {
+		const runs = 10
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			if _, err := decodeReplicaTargets(body); err == nil {
+				t.Fatalf("%s: %d rows accepted from a %d-byte body", name, rows, len(body))
 			}
 		}
-	}()
-	go func() {
-		for {
-			if _, err := rcA.Recv(); err != nil {
-				return
-			}
+		runtime.ReadMemStats(&m1)
+		if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per >= 4<<10 {
+			t.Errorf("%s: refusing a %d-byte body allocates %d bytes, want < 4 KiB", name, len(body), per)
 		}
-	}()
-	defer func() {
-		if conn := <-accepted; conn != nil {
-			conn.Close()
-		}
-	}()
-
-	waitFor(t, 5*time.Second, func() bool { return rcA.PeerSupportsRetarget() }, "hello negotiation")
-	if rcA.PeerSupportsElastic() {
-		t.Fatalf("non-elastic peer credited with FeatureElastic")
-	}
-	if err := rcA.SendReplica(4, 1, sdo.SDO{Seq: 77}); err != nil {
-		t.Fatalf("SendReplica: %v", err)
-	}
-	select {
-	case msg := <-gotRouted:
-		if msg.Kind != KindRouted || msg.To != 4 || msg.SDO.Seq != 77 {
-			t.Errorf("fallback frame wrong: %+v", msg)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("replica SDO never degraded to a routed frame")
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -45,12 +44,10 @@ type ResilientOptions struct {
 	// partition of many links does not reconnect in lockstep.
 	BackoffMin, BackoffMax time.Duration
 	// BatchMax enables batched framing when > 1: the writer coalesces up
-	// to BatchMax queued data/routed frames into one KindBatch wire frame
-	// (one header, one flush). Batches are only sent to peers that
-	// advertised FeatureBatch in a hello frame; other peers receive plain
-	// per-SDO frames. Batching is opportunistic — a frame that finds the
-	// outbox otherwise empty is written and flushed immediately, so
-	// single-SDO latency is unchanged. Default 0 (off).
+	// to BatchMax queued data/routed/replica frames into one KindBatch
+	// wire frame (one header, one flush). Batching is opportunistic — a
+	// frame that finds the outbox otherwise empty is written and flushed
+	// immediately, so single-SDO latency is unchanged. Default 0 (off).
 	BatchMax int
 	// BatchLinger, when > 0, lets the writer wait up to this long for
 	// additional frames before writing a non-full burst — trading latency
@@ -103,8 +100,7 @@ const ctlLaneCap = 64
 // isControlKind reports whether a frame kind rides the control lane.
 func isControlKind(k Kind) bool {
 	switch k {
-	case KindFeedback, KindHeartbeat, KindTargets, KindReplicaTargets,
-		KindTargetAck, KindTermTargets, KindTermReplicaTargets, KindTermTargetAck:
+	case KindFeedback, KindHeartbeat, KindTargets, KindReplicaTargets, KindTargetAck:
 		return true
 	}
 	return false
@@ -136,14 +132,6 @@ type LinkStats struct {
 	// Control frames have a reserved lane, so a data flood alone can
 	// never grow this counter.
 	ControlDropped int64
-	// CtlFeatureDropped counts control frames dropped by the writer's
-	// write-time feature re-gate: the frame passed its gate when
-	// enqueued, but the connection was replaced before the write and the
-	// new peer's hello no longer advertises the feature (a reconnect
-	// downgrade — e.g. an upgraded peer crashing back to an old binary)
-	// and no lossless downgrade encoding exists. Also counted under
-	// FramesDropped and ControlDropped.
-	CtlFeatureDropped int64
 	// QueueLen and QueueCap describe the outbox at snapshot time.
 	QueueLen, QueueCap int
 }
@@ -173,7 +161,7 @@ func (f *outFrame) release() {
 // ResilientConn is a self-healing framed connection: sends enqueue into a
 // bounded outbox and never touch the network; a writer goroutine drains
 // the outbox in bursts — coalescing data frames into batch frames when
-// the peer supports them, and flushing only when the outbox runs dry — a
+// batching is enabled, and flushing only when the outbox runs dry — a
 // manager goroutine (re)establishes the connection with jittered
 // exponential backoff whenever the current one fails. Recv transparently
 // rides across reconnects and returns only when the conn is closed.
@@ -207,8 +195,8 @@ type ResilientConn struct {
 	done chan struct{}
 
 	// mu guards connection replacement (connect, redial, close): cur is
-	// written only under it, but read lock-free by the enqueue-time feature
-	// hints (peerState), so no send takes mu.
+	// written only under it, but read lock-free by the control sends'
+	// liveness check (ctlLive), so no send takes mu.
 	mu     sync.Mutex
 	cond   *sync.Cond
 	cur    atomic.Pointer[Conn]
@@ -226,14 +214,13 @@ type ResilientConn struct {
 
 	wg sync.WaitGroup
 
-	statsMu        sync.Mutex
-	sent           int64
-	dropped        int64
-	reconnect      int64
-	batches        int64
-	batched        int64
-	ctlDropped     int64
-	ctlFeatDropped int64
+	statsMu    sync.Mutex
+	sent       int64
+	dropped    int64
+	reconnect  int64
+	batches    int64
+	batched    int64
+	ctlDropped int64
 }
 
 // NewResilientConn starts the manager and writer goroutines and returns
@@ -281,34 +268,9 @@ func (rc *ResilientConn) SendRouted(to sdo.PEID, s sdo.SDO) error {
 	return rc.enqueue(outFrame{kind: KindRouted, body: body, buf: bp, hops: s.Hops, trace: s.Trace})
 }
 
-// peerState snapshots, without a lock, the link's liveness and the current
-// connection's advertised feature set: features is 0 while disconnected,
-// connected reports an installed connection, closed a closed link. Every
-// feature decision outside the writer goroutine MUST go through this
-// helper, which lets no *Conn out: manage() can replace (and Close) the
-// current connection at any moment, so the answer is an enqueue-time
-// hint, and gateFrame at write time is the correctness boundary.
-func (rc *ResilientConn) peerState() (features uint64, connected, closed bool) {
-	select {
-	case <-rc.done:
-		closed = true
-	default:
-	}
-	if c := rc.cur.Load(); c != nil {
-		return c.peerFeatures.Load(), true, closed
-	}
-	return 0, false, closed
-}
-
 // SendReplica enqueues a data frame addressed to replica slot `rep` of PE
-// `to` in the peer process. When the peer has not (yet) advertised
-// FeatureElastic the frame falls back to a plain routed frame — the
-// receiver re-routes it locally among its own replicas, trading exact
-// key affinity for delivery. It never blocks.
+// `to` in the peer process. It never blocks.
 func (rc *ResilientConn) SendReplica(to sdo.PEID, rep int32, s sdo.SDO) error {
-	if !rc.PeerSupportsElastic() {
-		return rc.SendRouted(to, s)
-	}
 	bp := getBuf()
 	body, err := encodeReplica((*bp)[:0], to, rep, s)
 	if err != nil {
@@ -329,108 +291,43 @@ func (rc *ResilientConn) SendFeedback(f Feedback) error {
 }
 
 // SendHeartbeat enqueues one liveness beacon, or silently discards it
-// when there is no live connection or the peer has not (yet) advertised
-// FeatureHeartbeat — beacons are periodic, so the first one after the
-// peer's hello repairs the roster, and queueing beacons for a dead link
-// would only deliver stale liveness claims after reconnect. Never blocks.
+// while there is no live connection: beacons are periodic, so the first
+// one after a reconnect repairs the roster, while queueing beacons for a
+// dead link would only deliver stale liveness claims after reconnect.
+// Never blocks.
 func (rc *ResilientConn) SendHeartbeat(hb Heartbeat) error {
-	feat, connected, closed := rc.peerState()
-	if closed {
-		return ErrLinkClosed
-	}
-	if !connected || feat&FeatureHeartbeat == 0 {
-		return nil
+	if live, err := rc.ctlLive(); !live {
+		return err
 	}
 	bp := getBuf()
-	body := encodeHeartbeat((*bp)[:0], hb)
-	*bp = body
-	return rc.enqueueCtl(outFrame{kind: KindHeartbeat, body: body, buf: bp})
-}
-
-// PeerSupportsHeartbeat reports whether the current connection's peer
-// advertised heartbeat membership (false while disconnected).
-func (rc *ResilientConn) PeerSupportsHeartbeat() bool {
-	feat, connected, _ := rc.peerState()
-	return connected && feat&FeatureHeartbeat != 0
+	*bp = encodeHeartbeat((*bp)[:0], hb)
+	return rc.enqueueCtl(outFrame{kind: KindHeartbeat, body: *bp, buf: bp})
 }
 
 // SendTargets enqueues one (term, epoch)-numbered target vector on the
-// control lane, or silently discards it when there is no live connection
-// or the peer has not (yet) advertised FeatureRetarget — target
-// dissemination is periodic and epoch-idempotent, so the next broadcast
-// after the peer's hello repairs it, while queueing targets for a dead
-// link would only deliver a stale epoch after reconnect. The term rides
-// a KindTermTargets frame against FeatureTerm peers and collapses into
-// the legacy epoch scalar otherwise. Never blocks.
+// control lane, or silently discards it while there is no live
+// connection: dissemination is periodic and (term, epoch)-idempotent, so
+// the next broadcast after a reconnect repairs it, while queueing targets
+// for a dead link would only deliver a stale epoch. Never blocks.
 func (rc *ResilientConn) SendTargets(t Targets) error {
-	feat, connected, closed := rc.peerState()
-	if closed {
-		return ErrLinkClosed
-	}
-	if !connected || feat&FeatureRetarget == 0 {
-		return nil
+	if live, err := rc.ctlLive(); !live {
+		return err
 	}
 	bp := getBuf()
-	var body []byte
-	kind := KindTargets
-	if feat&FeatureTerm != 0 {
-		kind = KindTermTargets
-		body = binary.BigEndian.AppendUint64((*bp)[:0], t.Term)
-		body = encodeTargets(body, Targets{Epoch: t.Epoch, CPU: t.CPU})
-	} else {
-		body = encodeTargets((*bp)[:0], Targets{Epoch: CollapseTermEpoch(t.Term, t.Epoch), CPU: t.CPU})
-	}
-	*bp = body
-	return rc.enqueueCtl(outFrame{kind: kind, body: body, buf: bp})
+	*bp = encodeTargets((*bp)[:0], t)
+	return rc.enqueueCtl(outFrame{kind: KindTargets, body: *bp, buf: bp})
 }
 
-// PeerSupportsRetarget reports whether the current connection's peer
-// advertised retarget support (false while disconnected).
-func (rc *ResilientConn) PeerSupportsRetarget() bool {
-	feat, connected, _ := rc.peerState()
-	return connected && feat&FeatureRetarget != 0
-}
-
-// SendReplicaTargets enqueues one epoch-numbered per-replica target set,
-// with the same silent-discard contract as SendTargets: no live
-// connection or no FeatureElastic in the peer's hello means the periodic
-// re-broadcast repairs it later. Callers that can collapse the set to a
-// logical Targets vector should do so for retarget-only peers. Never
-// blocks.
+// SendReplicaTargets enqueues one (term, epoch)-numbered per-replica
+// target set, with the same silent-discard contract as SendTargets.
+// Never blocks.
 func (rc *ResilientConn) SendReplicaTargets(rt ReplicaTargets) error {
-	feat, connected, closed := rc.peerState()
-	if closed {
-		return ErrLinkClosed
-	}
-	if !connected || feat&FeatureElastic == 0 {
-		return nil
+	if live, err := rc.ctlLive(); !live {
+		return err
 	}
 	bp := getBuf()
-	var body []byte
-	kind := KindReplicaTargets
-	if feat&FeatureTerm != 0 {
-		kind = KindTermReplicaTargets
-		body = binary.BigEndian.AppendUint64((*bp)[:0], rt.Term)
-		body = encodeReplicaTargets(body, ReplicaTargets{Epoch: rt.Epoch, CPU: rt.CPU})
-	} else {
-		body = encodeReplicaTargets((*bp)[:0], ReplicaTargets{Epoch: CollapseTermEpoch(rt.Term, rt.Epoch), CPU: rt.CPU})
-	}
-	*bp = body
-	return rc.enqueueCtl(outFrame{kind: kind, body: body, buf: bp})
-}
-
-// PeerSupportsElastic reports whether the current connection's peer
-// advertised replica-frame support (false while disconnected).
-func (rc *ResilientConn) PeerSupportsElastic() bool {
-	feat, connected, _ := rc.peerState()
-	return connected && feat&FeatureElastic != 0
-}
-
-// PeerSupportsTerm reports whether the current connection's peer
-// advertised controller-term framing (false while disconnected).
-func (rc *ResilientConn) PeerSupportsTerm() bool {
-	feat, connected, _ := rc.peerState()
-	return connected && feat&FeatureTerm != 0
+	*bp = encodeReplicaTargets((*bp)[:0], rt)
+	return rc.enqueueCtl(outFrame{kind: KindReplicaTargets, body: *bp, buf: bp})
 }
 
 // SendTargetAck enqueues one upward dissemination ack, with the same
@@ -439,32 +336,25 @@ func (rc *ResilientConn) PeerSupportsTerm() bool {
 // queued stale ack would only understate the peer's progress. Never
 // blocks.
 func (rc *ResilientConn) SendTargetAck(a TargetAck) error {
-	feat, connected, closed := rc.peerState()
-	if closed {
-		return ErrLinkClosed
-	}
-	if !connected || feat&FeatureHier == 0 {
-		return nil
+	if live, err := rc.ctlLive(); !live {
+		return err
 	}
 	bp := getBuf()
-	var body []byte
-	kind := KindTargetAck
-	if feat&FeatureTerm != 0 {
-		kind = KindTermTargetAck
-		body = binary.BigEndian.AppendUint64((*bp)[:0], a.Term)
-		body = encodeTargetAck(body, TargetAck{Origin: a.Origin, Epoch: a.Epoch})
-	} else {
-		body = encodeTargetAck((*bp)[:0], TargetAck{Origin: a.Origin, Epoch: CollapseTermEpoch(a.Term, a.Epoch)})
-	}
-	*bp = body
-	return rc.enqueueCtl(outFrame{kind: kind, body: body, buf: bp})
+	*bp = encodeTargetAck((*bp)[:0], a)
+	return rc.enqueueCtl(outFrame{kind: KindTargetAck, body: *bp, buf: bp})
 }
 
-// PeerSupportsHier reports whether the current connection's peer
-// advertised dissemination-tree support (false while disconnected).
-func (rc *ResilientConn) PeerSupportsHier() bool {
-	feat, connected, _ := rc.peerState()
-	return connected && feat&FeatureHier != 0
+// ctlLive decides whether a discardable control frame (heartbeat,
+// targets, ack) is enqueued: only while a connection is installed, and
+// never on a closed link (err = ErrLinkClosed). It reads cur lock-free,
+// so no send takes mu.
+func (rc *ResilientConn) ctlLive() (bool, error) {
+	select {
+	case <-rc.done:
+		return false, ErrLinkClosed
+	default:
+	}
+	return rc.cur.Load() != nil, nil
 }
 
 func (rc *ResilientConn) enqueue(f outFrame) error {
@@ -552,15 +442,14 @@ func (rc *ResilientConn) Stats() LinkStats {
 	rc.statsMu.Lock()
 	defer rc.statsMu.Unlock()
 	return LinkStats{
-		FramesSent:        rc.sent,
-		FramesDropped:     rc.dropped,
-		Reconnects:        rc.reconnect,
-		BatchesSent:       rc.batches,
-		BatchedFrames:     rc.batched,
-		ControlDropped:    rc.ctlDropped,
-		CtlFeatureDropped: rc.ctlFeatDropped,
-		QueueLen:          rc.outq.Len(),
-		QueueCap:          rc.outq.Cap(),
+		FramesSent:     rc.sent,
+		FramesDropped:  rc.dropped,
+		Reconnects:     rc.reconnect,
+		BatchesSent:    rc.batches,
+		BatchedFrames:  rc.batched,
+		ControlDropped: rc.ctlDropped,
+		QueueLen:       rc.outq.Len(),
+		QueueCap:       rc.outq.Cap(),
 	}
 }
 
@@ -618,12 +507,6 @@ func (rc *ResilientConn) countCtlDrop(n int64) {
 	rc.statsMu.Unlock()
 }
 
-func (rc *ResilientConn) countCtlFeatureDrop(n int64) {
-	rc.statsMu.Lock()
-	rc.ctlFeatDropped += n
-	rc.statsMu.Unlock()
-}
-
 // current blocks until a live connection exists (or the conn is closed)
 // and returns it with its generation for failure attribution.
 func (rc *ResilientConn) current() (*Conn, int, bool) {
@@ -649,17 +532,6 @@ func (rc *ResilientConn) invalidate(gen int) {
 		}
 	}
 	rc.mu.Unlock()
-}
-
-// localFeatures is the feature set this endpoint announces in its hello:
-// heartbeat and retarget decoding are intrinsic to this protocol version,
-// batch framing is opt-in.
-func (rc *ResilientConn) localFeatures() uint64 {
-	f := FeatureHeartbeat | FeatureRetarget | FeatureElastic | FeatureHier | FeatureTerm
-	if rc.opts.BatchMax > 1 {
-		f |= FeatureBatch
-	}
-	return f
 }
 
 // pause sleeps for d, returning false if the conn closed meanwhile.
@@ -727,14 +599,15 @@ func (rc *ResilientConn) manage() {
 		gen := rc.gen
 		rc.cond.Broadcast()
 		rc.mu.Unlock()
-		// Every connection generation opens with a hello announcing this
-		// endpoint's features, so the peer's writer can start batching
-		// and heartbeating toward us. Sent under the write deadline; a
-		// failure just retires the conn. The hello deliberately does NOT
-		// count as the generation's successful write: a half-open peer
-		// can absorb it into its socket buffer without ever reading.
+		// Every connection generation opens with a hello carrying the
+		// protocol version, so a peer running another version refuses the
+		// connection instead of misreading it. Nothing waits for the
+		// peer's hello. Sent under the write deadline; a failure just
+		// retires the conn. The hello deliberately does NOT count as the
+		// generation's successful write: a half-open peer can absorb it
+		// into its socket buffer without ever reading.
 		conn.SetWriteDeadline(time.Now().Add(rc.opts.WriteTimeout))
-		if err := conn.SendHello(rc.localFeatures()); err != nil {
+		if err := conn.SendHello(0); err != nil {
 			rc.invalidate(gen)
 		}
 		if everConnected {
@@ -757,9 +630,9 @@ func (rc *ResilientConn) burstCap() int {
 	return n
 }
 
-// write drains the outbox in bursts. Consecutive data/routed frames are
-// coalesced into one KindBatch frame when the peer advertised batch
-// support; the bufio writer is flushed only once the outbox runs dry
+// write drains the outbox in bursts. Consecutive data/routed/replica
+// frames are coalesced into one KindBatch frame when BatchMax > 1; the
+// bufio writer is flushed only once the outbox runs dry
 // (flush-on-idle), so a lone frame still reaches the wire immediately
 // while a backlog pays one syscall per burst instead of one per frame. A
 // failed write drops the frames being written, retires the connection and
@@ -897,114 +770,9 @@ func (rc *ResilientConn) fillBurst(burst *[]outFrame) {
 }
 
 // batchable reports whether a frame kind may ride inside a batch frame.
-// Feedback stays on its own frames: the control path's advertisements are
-// latency-sensitive and must remain decodable by batch-unaware peers.
-// Replica frames are batchable — a FeatureElastic peer necessarily speaks
-// protocol v2, and the sender only emits them post-hello.
+// Control frames stay on their own frames: the control path's
+// advertisements are latency-sensitive and keep their reserved lane.
 func batchable(k Kind) bool { return k == KindData || k == KindRouted || k == KindReplica }
-
-// gateFrame re-checks a frame's feature gate against the live
-// connection's advertised features at write time. Frames are gated when
-// enqueued, but the connection can be replaced between enqueue and write
-// — and the new generation's peer may have advertised fewer features (a
-// reconnect downgrade: e.g. an upgraded peer crashing back to an old
-// binary). It reports whether the frame may be written, downgrading it
-// in place when a lossless re-encode exists; a false return means the
-// frame was dropped, counted and released.
-//
-// Downgrades rewrite the pooled body in place (every legacy encoding is
-// a strict suffix of its term framing, shifted by the dropped fields):
-//
-//   - KindReplica → KindRouted: the receiver re-routes among its own
-//     replica slots — the same fallback SendReplica takes at enqueue
-//     time against a non-elastic peer.
-//   - KindTerm{Targets,ReplicaTargets,TargetAck} → the legacy frame with
-//     the term collapsed into the epoch scalar, exactly the encoding the
-//     enqueue path would have chosen for a non-term peer.
-//
-// Frames whose gating feature has no downgrade (a heartbeat to a peer
-// without FeatureHeartbeat, targets without FeatureRetarget, replica
-// targets without FeatureElastic, acks without FeatureHier) are dropped:
-// writing them would feed the peer frames it cannot decode, killing the
-// freshly re-established connection.
-func (rc *ResilientConn) gateFrame(feat uint64, f *outFrame) bool {
-	switch f.kind {
-	case KindReplica:
-		if feat&FeatureElastic != 0 {
-			return true
-		}
-		// pe(4) rep(4) sdo → pe(4) sdo
-		copy(f.body[4:], f.body[8:])
-		f.body = f.body[:len(f.body)-4]
-		f.kind = KindRouted
-		return true
-	case KindHeartbeat:
-		if feat&FeatureHeartbeat != 0 {
-			return true
-		}
-	case KindTargets:
-		if feat&FeatureRetarget != 0 {
-			return true
-		}
-	case KindReplicaTargets:
-		if feat&FeatureElastic != 0 {
-			return true
-		}
-	case KindTargetAck:
-		if feat&FeatureHier != 0 {
-			return true
-		}
-	case KindTermTargets:
-		if feat&FeatureRetarget == 0 {
-			break
-		}
-		if feat&FeatureTerm != 0 {
-			return true
-		}
-		// term(8) epoch(8) targets → epoch'(8) targets
-		term := binary.BigEndian.Uint64(f.body[:8])
-		epoch := binary.BigEndian.Uint64(f.body[8:16])
-		binary.BigEndian.PutUint64(f.body[8:16], CollapseTermEpoch(term, epoch))
-		f.body = f.body[8:]
-		f.kind = KindTargets
-		return true
-	case KindTermReplicaTargets:
-		if feat&FeatureElastic == 0 {
-			break
-		}
-		if feat&FeatureTerm != 0 {
-			return true
-		}
-		term := binary.BigEndian.Uint64(f.body[:8])
-		epoch := binary.BigEndian.Uint64(f.body[8:16])
-		binary.BigEndian.PutUint64(f.body[8:16], CollapseTermEpoch(term, epoch))
-		f.body = f.body[8:]
-		f.kind = KindReplicaTargets
-		return true
-	case KindTermTargetAck:
-		if feat&FeatureHier == 0 {
-			break
-		}
-		if feat&FeatureTerm != 0 {
-			return true
-		}
-		// term(8) origin(4) epoch(8) → origin(4) epoch'(8)
-		term := binary.BigEndian.Uint64(f.body[:8])
-		epoch := binary.BigEndian.Uint64(f.body[12:20])
-		binary.BigEndian.PutUint64(f.body[12:20], CollapseTermEpoch(term, epoch))
-		f.body = f.body[8:]
-		f.kind = KindTargetAck
-		return true
-	default:
-		// Data, routed and feedback frames are protocol-intrinsic.
-		return true
-	}
-	rc.countDrop(1)
-	rc.countCtlDrop(1)
-	rc.countCtlFeatureDrop(1)
-	f.release()
-	return false
-}
 
 // idle reports both lanes empty — the flush-on-idle condition. Checking
 // the control lane too piggybacks a pending control frame onto the data
@@ -1015,21 +783,11 @@ func (rc *ResilientConn) idle() bool {
 }
 
 // writeBurst writes the burst as a sequence of batch frames (runs of
-// batchable frames, when negotiated) and single frames, flushing with the
-// last write iff the outbox is empty. On error the unwritten remainder of
-// the burst is dropped and counted per member SDO.
+// batchable frames, when BatchMax > 1) and single frames, flushing with
+// the last write iff the outbox is empty. On error the unwritten
+// remainder of the burst is dropped and counted per member SDO.
 func (rc *ResilientConn) writeBurst(conn *Conn, gen int, burst []outFrame) {
-	feat := conn.peerFeatures.Load()
-	// Write-time feature re-gate: drop or downgrade frames the live
-	// connection's peer cannot decode (see gateFrame).
-	kept := burst[:0]
-	for i := range burst {
-		if rc.gateFrame(feat, &burst[i]) {
-			kept = append(kept, burst[i])
-		}
-	}
-	burst = kept
-	useBatch := rc.opts.BatchMax > 1 && feat&FeatureBatch != 0
+	useBatch := rc.opts.BatchMax > 1
 	i := 0
 	for i < len(burst) {
 		// Group a run of batchable frames, bounded by BatchMax and the

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -13,10 +14,12 @@ import (
 )
 
 // countingServer accepts connections in a loop (so a severed client can
-// come back) and counts every data frame received across all sessions.
+// come back) and counts every data frame received across all sessions,
+// and every message by kind. It never sends a hello.
 type countingServer struct {
 	l      *Listener
 	frames atomic.Int64
+	kinds  [KindTargetAck + 1]atomic.Int64
 	conns  atomic.Int64
 	wg     sync.WaitGroup
 }
@@ -49,6 +52,7 @@ func newCountingServer(t *testing.T) *countingServer {
 					if msg.Kind == KindData || msg.Kind == KindRouted {
 						s.frames.Add(1)
 					}
+					s.kinds[msg.Kind].Add(1)
 				}
 			}()
 		}
@@ -349,9 +353,9 @@ func TestResilientBackoffResetsAfterWrite(t *testing.T) {
 }
 
 // TestResilientHeartbeatNegotiated round-trips heartbeats between two
-// ResilientConns: hellos negotiate FeatureHeartbeat in both directions,
-// beacons flow on the control path, and SendHeartbeat before negotiation
-// silently discards instead of queueing stale liveness claims.
+// ResilientConns: beacons flow on the control path, and SendHeartbeat
+// before the connection is up silently discards instead of queueing
+// stale liveness claims.
 func TestResilientHeartbeatNegotiated(t *testing.T) {
 	lis, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -381,16 +385,6 @@ func TestResilientHeartbeatNegotiated(t *testing.T) {
 			}
 		}
 	}()
-	// A's writer only learns B's features through A's own Recv loop.
-	go func() {
-		for {
-			if _, err := rcA.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-
-	waitFor(t, 5*time.Second, func() bool { return rcA.PeerSupportsHeartbeat() }, "hello negotiation")
 	waitFor(t, 5*time.Second, func() bool {
 		if err := rcA.SendHeartbeat(Heartbeat{Node: 3, Seq: 1}); err != nil {
 			t.Errorf("SendHeartbeat: %v", err)
@@ -431,10 +425,6 @@ func TestControlLaneSurvivesDataFlood(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if err := c.SendHello(FeatureHeartbeat | FeatureRetarget | FeatureElastic | FeatureHier | FeatureTerm); err != nil {
-				c.Close()
-				continue
-			}
 			srvWG.Add(1)
 			go func() {
 				defer srvWG.Done()
@@ -470,16 +460,7 @@ func TestControlLaneSurvivesDataFlood(t *testing.T) {
 		BackoffMin:   10 * time.Millisecond,
 	})
 	defer rc.Close()
-	go func() {
-		for {
-			if _, err := rc.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	waitFor(t, 5*time.Second, func() bool {
-		return rc.PeerSupportsRetarget() && rc.PeerSupportsTerm()
-	}, "hello negotiation")
+	waitFor(t, 5*time.Second, func() bool { return rc.cur.Load() != nil }, "connection up")
 
 	// Stall the pipe and flood the data lane until it overflows.
 	current.Load().Stall(400 * time.Millisecond)
@@ -525,9 +506,8 @@ func TestControlLaneSurvivesDataFlood(t *testing.T) {
 }
 
 // TestHotPathTakesNoLinkLock holds rc.mu (the connection-replacement lock)
-// and requires a send that consults the peer's features and a Recv with
-// members already staged to complete regardless: both used to take rc.mu
-// once per SDO.
+// and requires a replica send and a Recv with members already staged to
+// complete regardless: both used to take rc.mu once per SDO.
 func TestHotPathTakesNoLinkLock(t *testing.T) {
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -543,7 +523,7 @@ func TestHotPathTakesNoLinkLock(t *testing.T) {
 		defer c.Close()
 		body, _ := encodeSDO(nil, sdo.SDO{Seq: 7, Origin: time.Unix(0, 1)})
 		frame := outFrame{kind: KindData, body: body}
-		if c.SendHello(allFeatures) != nil || c.sendBatch([]outFrame{frame, frame}, true) != nil {
+		if c.sendBatch([]outFrame{frame, frame}, true) != nil {
 			return
 		}
 		if msg, err := c.Recv(); err == nil {
@@ -553,7 +533,7 @@ func TestHotPathTakesNoLinkLock(t *testing.T) {
 	}()
 	rc := NewResilientConn(func() (*Conn, error) { return Dial(l.Addr(), time.Second) }, ResilientOptions{})
 	defer rc.Close()
-	// The first member's Recv reads the hello and stages the second member.
+	// The first member's Recv stages the second member.
 	if _, err := rc.Recv(); err != nil {
 		t.Fatal(err)
 	}
@@ -585,56 +565,39 @@ wait:
 			t.Errorf("frame enqueued under rc.mu arrived as kind %v to %d rep %d, want a replica frame", msg.Kind, msg.To, msg.Rep)
 		}
 	case <-time.After(5 * time.Second):
-		t.Error("frame enqueued under rc.mu never reached the elastic peer")
+		t.Error("frame enqueued under rc.mu never reached the peer")
 	}
 }
 
-// TestSeverStormKeepsFeatureGateAndAccounting runs senders and a reader
-// through a storm of severs and redials against a peer that alternates
-// between elastic and non-elastic generations. The enqueue-time feature
-// hint is read without a lock, so it may be a generation stale; the
-// write-time gate must still keep every replica frame away from a
-// non-elastic peer, and every injected frame must end up counted as sent
-// or dropped. (received can only bound sent from below: TCP does not say
-// which bytes a severed socket had accepted but not delivered.)
-func TestSeverStormKeepsFeatureGateAndAccounting(t *testing.T) {
+// TestSeverStormKeepsAccounting runs senders through a storm of severs
+// and redials: every injected frame must end up counted as sent or
+// dropped, and the peer can have received at most what was counted sent.
+// (received can only bound sent from below: TCP does not say which bytes
+// a severed socket had accepted but not delivered.)
+func TestSeverStormKeepsAccounting(t *testing.T) {
 	l, err := Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var received, replicas, misgated atomic.Int64
+	var received atomic.Int64
 	var srvWG sync.WaitGroup
 	srvWG.Add(1)
 	go func() {
 		defer srvWG.Done()
-		for gen := 0; ; gen++ {
+		for {
 			c, err := l.Accept()
 			if err != nil {
 				return
-			}
-			feat := FeatureBatch
-			if gen%2 == 0 {
-				feat |= FeatureElastic
 			}
 			srvWG.Add(1)
 			go func() {
 				defer srvWG.Done()
 				defer c.Close()
-				if c.SendHello(feat) != nil {
-					return
-				}
 				for {
-					msg, err := c.Recv()
-					if err != nil {
+					if _, err := c.Recv(); err != nil {
 						return
 					}
 					received.Add(1)
-					if msg.Kind == KindReplica {
-						replicas.Add(1)
-						if feat&FeatureElastic == 0 {
-							misgated.Add(1)
-						}
-					}
 				}
 			}()
 		}
@@ -652,16 +615,6 @@ func TestSeverStormKeepsFeatureGateAndAccounting(t *testing.T) {
 
 	var injected atomic.Int64
 	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // reader: feeds each generation's hello to the senders' hints
-		defer wg.Done()
-		for {
-			if _, err := rc.Recv(); err != nil {
-				return
-			}
-		}
-	}()
 	var senders sync.WaitGroup
 	for s := 0; s < 2; s++ {
 		senders.Add(1)
@@ -694,22 +647,114 @@ func TestSeverStormKeepsFeatureGateAndAccounting(t *testing.T) {
 	}, "every injected frame counted as sent or dropped")
 	st := rc.Stats()
 	rc.Close()
-	wg.Wait()
 	l.Close()
 	srvWG.Wait()
 
-	if n := misgated.Load(); n != 0 {
-		t.Errorf("%d replica frames reached a peer that never advertised FeatureElastic", n)
-	}
 	if st.Reconnects < 5 {
 		t.Errorf("only %d reconnects: the storm did not exercise redial", st.Reconnects)
 	}
 	if got := received.Load(); got == 0 || got > st.FramesSent {
 		t.Errorf("peer received %d frames, link counted %d sent", got, st.FramesSent)
 	}
-	if r := replicas.Load(); r == 0 || r == received.Load() {
-		t.Errorf("%d of %d received frames were replica frames: the storm must deliver both encodings", r, received.Load())
+	t.Logf("injected %d, sent %d, dropped %d, received %d, reconnects %d",
+		injected.Load(), st.FramesSent, st.FramesDropped, received.Load(), st.Reconnects)
+}
+
+// TestResilientSendsWithoutWaitingForHello: a fresh ResilientConn whose
+// peer never sends a hello, and which never reads, still batches data and
+// sends replica frames, heartbeats, targets, replica targets and acks as
+// soon as its connection is up: nothing on the send side waits on the
+// peer's hello.
+func TestResilientSendsWithoutWaitingForHello(t *testing.T) {
+	srv := newCountingServer(t)
+	rc := NewResilientConn(func() (*Conn, error) {
+		return Dial(srv.addr(), time.Second)
+	}, ResilientOptions{BatchMax: 32, BatchLinger: 20 * time.Millisecond})
+	defer rc.Close()
+	waitFor(t, 5*time.Second, func() bool { return rc.cur.Load() != nil }, "connection up")
+
+	sends := []error{
+		rc.SendHeartbeat(Heartbeat{Node: 1, Seq: 1}),
+		rc.SendTargets(Targets{Term: 1, Epoch: 2, CPU: []float64{1}}),
+		rc.SendReplicaTargets(ReplicaTargets{Term: 1, Epoch: 2, CPU: [][]float64{{0.5, 0.5}}}),
+		rc.SendTargetAck(TargetAck{Origin: 3, Term: 1, Epoch: 2}),
 	}
-	t.Logf("injected %d, sent %d, dropped %d, received %d (%d replica), reconnects %d",
-		injected.Load(), st.FramesSent, st.FramesDropped, received.Load(), replicas.Load(), st.Reconnects)
+	const data = 64
+	for i := 0; i < data; i++ {
+		sends = append(sends, rc.SendReplica(4, 1, sdo.SDO{Seq: uint64(i), Origin: time.Unix(0, 1)}))
+	}
+	for i, err := range sends {
+		if err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	waitFor(t, 5*time.Second, func() bool { return srv.kinds[KindReplica].Load() == data }, "replica frames delivered")
+	for _, k := range []Kind{KindHeartbeat, KindTargets, KindReplicaTargets, KindTargetAck} {
+		waitFor(t, 5*time.Second, func() bool { return srv.kinds[k].Load() == 1 }, fmt.Sprintf("kind %d delivered", k))
+	}
+	if st := rc.Stats(); st.BatchesSent == 0 {
+		t.Errorf("no batch frames sent to a peer that never sent a hello: %+v", st)
+	}
+}
+
+// TestResilientRefusesVersionMismatch: a peer whose hello names another
+// protocol version is refused. Recv fails on the hello, so the frame the
+// peer sends after it is never delivered, and the link keeps retiring the
+// connection and redialing.
+func TestResilientRefusesVersionMismatch(t *testing.T) {
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var srvWG sync.WaitGroup
+	t.Cleanup(srvWG.Wait)
+	srvWG.Add(1)
+	go func() {
+		defer srvWG.Done()
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			// A version-2 hello (version byte plus feature word), then a
+			// data frame the refusing side must never deliver.
+			body := append([]byte{2}, make([]byte, 8)...)
+			if c.send(KindHello, body) != nil || c.SendSDO(sdo.SDO{Seq: 1, Origin: time.Unix(0, 1)}) != nil {
+				c.Close()
+				continue
+			}
+			srvWG.Add(1)
+			go func() {
+				defer srvWG.Done()
+				defer c.Close()
+				for {
+					if _, err := c.Recv(); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	rc := NewResilientConn(func() (*Conn, error) {
+		return Dial(l.Addr(), time.Second)
+	}, ResilientOptions{BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond})
+	defer rc.Close()
+	var delivered atomic.Int64
+	recvDone := make(chan struct{})
+	go func() {
+		defer close(recvDone)
+		for {
+			if _, err := rc.Recv(); err != nil {
+				return
+			}
+			delivered.Add(1)
+		}
+	}()
+	waitFor(t, 5*time.Second, func() bool { return rc.Stats().Reconnects >= 3 }, "redials after refusals")
+	rc.Close()
+	<-recvDone
+	if n := delivered.Load(); n != 0 {
+		t.Errorf("%d frames delivered from a peer of another protocol version", n)
+	}
 }

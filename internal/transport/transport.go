@@ -5,27 +5,26 @@
 //
 //	frame  := kind(u8) length(u32 BE) body
 //	data   := stream(i32) seq(u64) originUnixNanos(i64) hops(i32)
-//	          trace(u64) payloadLen(u32) payload
+//	          trace(u64) key(u64) payloadLen(u32) payload
 //	ctrl   := pe(i32) rmax(f64 bits)
-//	hello  := version(u8) features(u64)
+//	hello  := version(u8)
 //	batch  := count(u32) { kind(u8) mlen(u32) member } × count
 //	hbeat  := node(i32) seq(u64)
-//	tgt    := epoch(u64) count(u32) cpu(f64 bits) × count
+//	tgt    := term(u64) epoch(u64) count(u32) cpu(f64 bits) × count
 //	rep    := pe(i32) replica(i32) data
-//	rtgt   := epoch(u64) peCount(u32) { slots(u32) cpu(f64 bits)×slots } × peCount
-//	tack   := origin(i32) epoch(u64)
-//	ttgt   := term(u64) tgt      (and likewise trtgt/ttack: term(u64) + body)
+//	rtgt   := term(u64) epoch(u64) peCount(u32) { slots(u32) cpu(f64 bits)×slots } × peCount
+//	tack   := term(u64) origin(i32) epoch(u64)
 //
 // trace is the observability trace ID (0 = unsampled): carrying it inside
 // the routed frame is what lets a per-SDO trace be stitched across the
 // TCP bridge of a partitioned deployment (internal/obs).
 //
-// Protocol versioning: a peer that supports optional features announces
-// them with a hello frame (first frame after connect). Batch frames are
-// only ever sent to a peer whose hello advertised FeatureBatch; against a
-// peer that stays silent the sender falls back to one frame per SDO, so
-// the two frame vocabularies interoperate. Recv consumes hello frames
-// internally — callers never see them.
+// Versioning: every process of a deployment runs this same binary, so
+// there is one protocol version and no feature negotiation. A hello
+// carrying any other version is a decode error: Recv returns it, and a
+// ResilientConn retires that connection and redials, so a mismatched
+// peer is refused rather than half-understood. The hello is optional on
+// a raw Conn; Recv consumes it internally — callers never see it.
 //
 // Payloads must be []byte (or nil) on the wire; richer payloads belong to
 // in-process deployments.
@@ -39,7 +38,6 @@ import (
 	"math"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"aces/internal/sdo"
@@ -61,88 +59,46 @@ const (
 	// length-delimited sub-frames; feedback never rides a batch (the
 	// control path keeps its own frames so advertisements stay sub-Δt).
 	KindBatch
-	// KindHello is the version/feature announcement a peer sends first on
-	// a new connection. Recv handles it internally.
+	// KindHello is the version announcement a peer sends first on a new
+	// connection. Recv handles it internally.
 	KindHello
 	// KindHeartbeat is the liveness beacon of the health subsystem: the
 	// sending process asserts that node Node is alive. It rides the
-	// control path (never batched, like feedback) and is only sent to
-	// peers that advertised FeatureHeartbeat.
+	// control path (never batched, like feedback).
 	KindHeartbeat
-	// KindTargets carries an epoch-numbered tier-1 CPU target vector
-	// (retargeting, paper §V-B: the optimizer re-runs periodically and the
-	// new c̄_j must reach every node). It rides the control path (never
-	// batched) and is only sent to peers that advertised FeatureRetarget;
-	// receivers reject stale epochs, so duplicated or reordered target
-	// frames are harmless.
+	// KindTargets carries a (term, epoch)-numbered tier-1 CPU target
+	// vector (retargeting, paper §V-B: the optimizer re-runs periodically
+	// and the new c̄_j must reach every node). It rides the control path
+	// (never batched); receivers reject anything not ordered after the
+	// applied set, so duplicated or reordered target frames are harmless
+	// and a deposed controller's frames are fenced.
 	KindTargets
 	// KindReplica is a routed data frame addressed to a specific replica
 	// of a PE (elastic parallelism): the SENDING process picks the replica
-	// by key-hash so per-key affinity survives the process boundary. Only
-	// sent to peers that advertised FeatureElastic; against older peers the
-	// sender falls back to KindRouted and the receiver re-routes locally.
+	// by key-hash so per-key affinity survives the process boundary.
 	KindReplica
-	// KindReplicaTargets carries an epoch-numbered tier-1 target set with
-	// per-replica-slot placement — the elastic superset of KindTargets.
-	// Control path (never batched), FeatureElastic-gated, same stale-epoch
-	// rejection as KindTargets.
+	// KindReplicaTargets carries a (term, epoch)-numbered tier-1 target
+	// set with per-replica-slot placement — the elastic superset of
+	// KindTargets. Control path (never batched), same ordering rule.
 	KindReplicaTargets
 	// KindTargetAck flows UP the dissemination tree of the hierarchical
-	// control plane: a node that applied (or relayed) an epoch reports
-	// {origin node, epoch} to its parent, which forwards it unchanged
-	// toward the root. The root uses the per-origin acked epoch to expose
-	// dissemination lag (retarget_epoch_lag). Control path, never batched,
-	// FeatureHier-gated.
+	// control plane: a node that applied (or relayed) a target set reports
+	// {origin node, term, epoch} to its parent, which forwards it
+	// unchanged toward the root. The root uses the per-origin acked epoch
+	// to expose dissemination lag (retarget_epoch_lag). Control path,
+	// never batched.
 	KindTargetAck
-	// KindTermTargets is KindTargets with an explicit controller term
-	// prefixed: targets are ordered by the lexicographic (term, epoch)
-	// pair, so a standby that claimed term+1 fences every frame a deposed
-	// controller may still emit (controller failover). Only sent to peers
-	// that advertised FeatureTerm; against older peers the sender
-	// collapses (term, epoch) into the single legacy epoch scalar as
-	// term<<32 | epoch — a bijection while epoch < 2^32, so flat peers
-	// keep exactly the same ordering.
-	KindTermTargets
-	// KindTermReplicaTargets is KindReplicaTargets with a term prefix;
-	// same FeatureTerm gating and collapse rule as KindTermTargets.
-	KindTermReplicaTargets
-	// KindTermTargetAck is KindTargetAck with a term prefix reporting the
-	// term of the acked target set; same gating and collapse rule.
-	KindTermTargetAck
 )
 
-// protocolVersion is announced in hello frames. Version 2 adds batch
-// framing; version 1 peers never send hello and never receive batches.
-const protocolVersion = 2
+// protocolVersion is the only version this binary speaks. Version 3
+// carries the controller term on every target and ack frame and drops
+// the feature bits of version 2's hello.
+const protocolVersion = 3
 
-// FeatureBatch advertises that this endpoint decodes KindBatch frames.
+// FeatureBatch is ignored: version 3 has no feature bits. It is kept,
+// with SendHello's parameter, only because bench/probes.go compiles
+// against it.
 const FeatureBatch uint64 = 1 << 0
-
-// FeatureHeartbeat advertises that this endpoint decodes KindHeartbeat
-// frames and participates in heartbeat membership.
-const FeatureHeartbeat uint64 = 1 << 1
-
-// FeatureRetarget advertises that this endpoint decodes KindTargets
-// frames and applies epoch-numbered tier-1 retargets.
-const FeatureRetarget uint64 = 1 << 2
-
-// FeatureElastic advertises that this endpoint decodes KindReplica and
-// KindReplicaTargets frames and hosts replica groups.
-const FeatureElastic uint64 = 1 << 3
-
-// FeatureHier advertises that this endpoint understands the hierarchical
-// dissemination-tree semantics: it re-relays received target frames to
-// its own children and emits/forwards KindTargetAck frames upward. Flat
-// v1/v2 peers never set the bit and never see ack frames.
-const FeatureHier uint64 = 1 << 4
-
-// FeatureTerm advertises that this endpoint decodes the term-prefixed
-// control frames (KindTermTargets, KindTermReplicaTargets,
-// KindTermTargetAck) and orders target sets by the lexicographic
-// (term, epoch) pair. Senders collapse the pair into the legacy epoch
-// scalar (term<<32 | epoch) for peers without the bit, so controller
-// failover interoperates with flat v1/v2 peers unchanged.
-const FeatureTerm uint64 = 1 << 5
 
 // Feedback is a control-plane advertisement: PE j accepts at most RMax
 // SDOs per control tick.
@@ -165,9 +121,7 @@ type Heartbeat struct {
 // ordered per deployment by the lexicographic (Term, Epoch) pair — a
 // receiver holding (t, e) ignores any frame ordered at or below it,
 // which makes redelivery and reordering harmless and fences frames from
-// deposed controllers. Term is 0 until a controller failover bumps it;
-// on the wire it rides KindTermTargets against FeatureTerm peers and is
-// collapsed into the epoch scalar (Term<<32 | Epoch) against older ones.
+// deposed controllers. Term is 0 until a controller failover bumps it.
 type Targets struct {
 	Term  uint64
 	Epoch uint64
@@ -176,8 +130,8 @@ type Targets struct {
 
 // ReplicaTargets is the elastic target set: CPU[j][r] is the new c̄ of
 // replica slot r of PE j (slot 0 is the primary, so collapsing each row
-// to its sum recovers a Targets vector). (Term, Epoch) ordering and
-// collapse semantics match Targets.
+// to its sum recovers a Targets vector). (Term, Epoch) ordering matches
+// Targets.
 type ReplicaTargets struct {
 	Term  uint64
 	Epoch uint64
@@ -187,8 +141,7 @@ type ReplicaTargets struct {
 // TargetAck reports, up the dissemination tree, that node Origin has
 // applied targets through (Term, Epoch). Relaying parents forward it
 // unchanged, so the root sees every descendant's applied epoch. Term is
-// informational (epochs stay globally monotone across failovers); the
-// collapse rule matches Targets.
+// informational (epochs stay globally monotone across failovers).
 type TargetAck struct {
 	Origin int32
 	Term   uint64
@@ -197,11 +150,8 @@ type TargetAck struct {
 
 // Message is a decoded frame: exactly one of SDO/Feedback/Heartbeat/
 // Targets is meaningful per Kind; To is set for routed frames. Batch
-// frames are decoded into their members, so Recv only ever yields
-// data/routed/feedback/heartbeat/targets messages. Term-prefixed
-// control frames normalize to their legacy Kind with Term populated
-// (and legacy frames split a collapsed term out of the epoch scalar),
-// so receivers dispatch on one kind per frame family.
+// frames are decoded into their members and hellos are consumed, so Recv
+// never yields KindBatch or KindHello.
 type Message struct {
 	Kind           Kind
 	SDO            sdo.SDO
@@ -215,22 +165,6 @@ type Message struct {
 	// Rep is the destination replica slot of a KindReplica frame.
 	Rep int32
 }
-
-// epochMask is the epoch half of a collapsed (term, epoch) scalar.
-const epochMask = 1<<32 - 1
-
-// CollapseTermEpoch folds a (term, epoch) pair into the single epoch
-// scalar understood by peers without FeatureTerm: term<<32 | epoch.
-// While epoch < 2^32 (a deployment would need centuries of sub-second
-// re-solves to overflow it) the collapse is a bijection that preserves
-// lexicographic order, so legacy stale-epoch rejection fences deposed
-// terms exactly as term-aware peers do.
-func CollapseTermEpoch(term, epoch uint64) uint64 { return term<<32 | epoch&epochMask }
-
-// SplitTermEpoch recovers the (term, epoch) pair from a collapsed
-// scalar. Term-0 values round-trip unchanged, so pre-failover epochs
-// (and every frame from a v1/v2-flat peer) decode exactly as before.
-func SplitTermEpoch(raw uint64) (term, epoch uint64) { return raw >> 32, raw & epochMask }
 
 // maxFrame bounds a frame body; anything larger is a protocol error, not a
 // legitimate SDO.
@@ -293,11 +227,6 @@ type Conn struct {
 	vbufs net.Buffers
 	vsend net.Buffers
 
-	// peerFeatures holds the feature bits from the peer's hello frame
-	// (0 until one arrives). Written by the Recv goroutine, read by
-	// writers deciding whether to emit batch frames.
-	peerFeatures atomic.Uint64
-
 	// pending holds decoded batch members not yet returned by Recv
 	// (Recv-goroutine-owned, no lock needed).
 	pending  []staged
@@ -334,60 +263,13 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadli
 // SetReadDeadline bounds all future reads on the connection.
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
 
-// SendHello announces this endpoint's protocol version and feature bits.
-// Batch-capable endpoints send it as the first frame of every connection;
-// the peer's Recv records the features and skips the frame.
+// SendHello announces this endpoint's protocol version; a peer speaking
+// another version refuses the connection. features is ignored (version 3
+// has no feature bits); the parameter is kept only because
+// bench/probes.go compiles against it.
 func (c *Conn) SendHello(features uint64) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body := append((*bp)[:0], protocolVersion)
-	body = binary.BigEndian.AppendUint64(body, features)
-	*bp = body[:0]
-	return c.send(KindHello, body)
+	return c.send(KindHello, []byte{protocolVersion})
 }
-
-// PeerSupportsBatch reports whether the peer's hello advertised batch
-// decoding. False until a hello arrives (and a hello only arrives while
-// some goroutine is calling Recv).
-func (c *Conn) PeerSupportsBatch() bool {
-	return c.peerFeatures.Load()&FeatureBatch != 0
-}
-
-// PeerSupportsHeartbeat reports whether the peer's hello advertised
-// heartbeat decoding. False until a hello arrives.
-func (c *Conn) PeerSupportsHeartbeat() bool {
-	return c.peerFeatures.Load()&FeatureHeartbeat != 0
-}
-
-// PeerSupportsRetarget reports whether the peer's hello advertised
-// target-frame decoding. False until a hello arrives.
-func (c *Conn) PeerSupportsRetarget() bool {
-	return c.peerFeatures.Load()&FeatureRetarget != 0
-}
-
-// PeerSupportsElastic reports whether the peer's hello advertised
-// replica-frame decoding. False until a hello arrives.
-func (c *Conn) PeerSupportsElastic() bool {
-	return c.peerFeatures.Load()&FeatureElastic != 0
-}
-
-// PeerSupportsHier reports whether the peer's hello advertised the
-// hierarchical dissemination-tree semantics (target relaying and ack
-// frames). False until a hello arrives.
-func (c *Conn) PeerSupportsHier() bool {
-	return c.peerFeatures.Load()&FeatureHier != 0
-}
-
-// PeerSupportsTerm reports whether the peer's hello advertised
-// term-prefixed control frames. False until a hello arrives; senders
-// then collapse (term, epoch) into the legacy epoch scalar.
-func (c *Conn) PeerSupportsTerm() bool {
-	return c.peerFeatures.Load()&FeatureTerm != 0
-}
-
-// setPeerFeatures force-sets the peer feature bits (tests that need
-// batching active without running a Recv loop on the sender side).
-func (c *Conn) setPeerFeatures(f uint64) { c.peerFeatures.Store(f) }
 
 // SendSDO writes one data frame. The payload must be nil or []byte.
 func (c *Conn) SendSDO(s sdo.SDO) error {
@@ -443,8 +325,7 @@ func encodeRouted(dst []byte, to sdo.PEID, s sdo.SDO) ([]byte, error) {
 }
 
 // SendReplica writes a data frame addressed to a specific replica slot of
-// a PE in a peer process. Callers must gate on PeerSupportsElastic (and
-// fall back to SendRouted otherwise).
+// a PE in a peer process.
 func (c *Conn) SendReplica(to sdo.PEID, rep int32, s sdo.SDO) error {
 	bp := getBuf()
 	defer putBuf(bp)
@@ -499,26 +380,19 @@ func encodeHeartbeat(dst []byte, hb Heartbeat) []byte {
 
 // SendTargets writes one (term, epoch)-numbered target vector. Like
 // feedback and heartbeats, target frames keep their own frames (never
-// batched): a retarget must not wait behind a data burst. Against a
-// FeatureTerm peer the term rides a KindTermTargets frame; otherwise it
-// is collapsed into the legacy epoch scalar.
+// batched): a retarget must not wait behind a data burst.
 func (c *Conn) SendTargets(t Targets) error {
 	bp := getBuf()
 	defer putBuf(bp)
-	if c.PeerSupportsTerm() {
-		body := binary.BigEndian.AppendUint64((*bp)[:0], t.Term)
-		body = encodeTargets(body, Targets{Epoch: t.Epoch, CPU: t.CPU})
-		*bp = body[:0]
-		return c.send(KindTermTargets, body)
-	}
-	body := encodeTargets((*bp)[:0], Targets{Epoch: CollapseTermEpoch(t.Term, t.Epoch), CPU: t.CPU})
+	body := encodeTargets((*bp)[:0], t)
 	*bp = body[:0]
 	return c.send(KindTargets, body)
 }
 
 // encodeTargets appends the targets-frame body to dst:
-// epoch(u64) count(u32) cpu(f64 bits)×count.
+// term(u64) epoch(u64) count(u32) cpu(f64 bits)×count.
 func encodeTargets(dst []byte, t Targets) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, t.Term)
 	dst = binary.BigEndian.AppendUint64(dst, t.Epoch)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.CPU)))
 	for _, c := range t.CPU {
@@ -530,18 +404,18 @@ func encodeTargets(dst []byte, t Targets) []byte {
 // decodeTargets decodes a targets-frame body. The CPU vector is copied
 // out, so the caller may recycle the buffer immediately.
 func decodeTargets(body []byte) (Targets, error) {
-	if len(body) < 12 {
+	if len(body) < 20 {
 		return Targets{}, fmt.Errorf("transport: short targets frame (%d bytes)", len(body))
 	}
-	t := Targets{Epoch: binary.BigEndian.Uint64(body[0:8])}
-	count := binary.BigEndian.Uint32(body[8:12])
-	if int(count)*8 != len(body)-12 {
+	t := Targets{Term: binary.BigEndian.Uint64(body[0:8]), Epoch: binary.BigEndian.Uint64(body[8:16])}
+	count := binary.BigEndian.Uint32(body[16:20])
+	if int(count)*8 != len(body)-20 {
 		return Targets{}, fmt.Errorf("transport: targets count %d disagrees with frame size", count)
 	}
 	if count > 0 {
 		t.CPU = make([]float64, count)
 		for i := range t.CPU {
-			t.CPU[i] = math.Float64frombits(binary.BigEndian.Uint64(body[12+8*i:]))
+			t.CPU[i] = math.Float64frombits(binary.BigEndian.Uint64(body[20+8*i:]))
 		}
 	}
 	return t, nil
@@ -549,25 +423,19 @@ func decodeTargets(body []byte) (Targets, error) {
 
 // SendReplicaTargets writes one (term, epoch)-numbered per-replica
 // target set. Control-path contract matches SendTargets: own frame,
-// never batched, term collapsed for non-FeatureTerm peers. Callers must
-// gate on PeerSupportsElastic.
+// never batched.
 func (c *Conn) SendReplicaTargets(rt ReplicaTargets) error {
 	bp := getBuf()
 	defer putBuf(bp)
-	if c.PeerSupportsTerm() {
-		body := binary.BigEndian.AppendUint64((*bp)[:0], rt.Term)
-		body = encodeReplicaTargets(body, ReplicaTargets{Epoch: rt.Epoch, CPU: rt.CPU})
-		*bp = body[:0]
-		return c.send(KindTermReplicaTargets, body)
-	}
-	body := encodeReplicaTargets((*bp)[:0], ReplicaTargets{Epoch: CollapseTermEpoch(rt.Term, rt.Epoch), CPU: rt.CPU})
+	body := encodeReplicaTargets((*bp)[:0], rt)
 	*bp = body[:0]
 	return c.send(KindReplicaTargets, body)
 }
 
-// encodeReplicaTargets appends the replica-targets body:
+// encodeReplicaTargets appends the replica-targets body: term(u64)
 // epoch(u64) peCount(u32) { slotCount(u32) cpu(f64 bits)×slotCount } × peCount.
 func encodeReplicaTargets(dst []byte, rt ReplicaTargets) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, rt.Term)
 	dst = binary.BigEndian.AppendUint64(dst, rt.Epoch)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rt.CPU)))
 	for _, row := range rt.CPU {
@@ -582,15 +450,18 @@ func encodeReplicaTargets(dst []byte, rt ReplicaTargets) []byte {
 // decodeReplicaTargets decodes a replica-targets body. Rows are copied
 // out, so the caller may recycle the buffer immediately.
 func decodeReplicaTargets(body []byte) (ReplicaTargets, error) {
-	if len(body) < 12 {
+	if len(body) < 20 {
 		return ReplicaTargets{}, fmt.Errorf("transport: short replica-targets frame (%d bytes)", len(body))
 	}
-	rt := ReplicaTargets{Epoch: binary.BigEndian.Uint64(body[0:8])}
-	peCount := binary.BigEndian.Uint32(body[8:12])
-	if peCount > maxFrame/4 {
+	rt := ReplicaTargets{Term: binary.BigEndian.Uint64(body[0:8]), Epoch: binary.BigEndian.Uint64(body[8:16])}
+	peCount := binary.BigEndian.Uint32(body[16:20])
+	rest := body[20:]
+	// Every row carries at least its 4-byte slot count, so a count the
+	// body cannot hold is refused before the row table is allocated: a
+	// few bytes must not buy a peer a 96 MiB allocation.
+	if uint64(peCount) > uint64(len(rest)/4) {
 		return ReplicaTargets{}, fmt.Errorf("transport: replica-targets PE count %d out of range", peCount)
 	}
-	rest := body[12:]
 	rt.CPU = make([][]float64, peCount)
 	for j := uint32(0); j < peCount; j++ {
 		if len(rest) < 4 {
@@ -615,25 +486,19 @@ func decodeReplicaTargets(body []byte) (ReplicaTargets, error) {
 }
 
 // SendTargetAck writes one upward ack frame. Control-path contract
-// matches SendTargets: own frame, never batched, term collapsed for
-// non-FeatureTerm peers. Callers must gate on PeerSupportsHier — a flat
-// peer has no tree position to account acks to.
+// matches SendTargets: own frame, never batched.
 func (c *Conn) SendTargetAck(a TargetAck) error {
 	bp := getBuf()
 	defer putBuf(bp)
-	if c.PeerSupportsTerm() {
-		body := binary.BigEndian.AppendUint64((*bp)[:0], a.Term)
-		body = encodeTargetAck(body, TargetAck{Origin: a.Origin, Epoch: a.Epoch})
-		*bp = body[:0]
-		return c.send(KindTermTargetAck, body)
-	}
-	body := encodeTargetAck((*bp)[:0], TargetAck{Origin: a.Origin, Epoch: CollapseTermEpoch(a.Term, a.Epoch)})
+	body := encodeTargetAck((*bp)[:0], a)
 	*bp = body[:0]
 	return c.send(KindTargetAck, body)
 }
 
-// encodeTargetAck appends the ack-frame body: origin(i32) epoch(u64).
+// encodeTargetAck appends the ack-frame body: term(u64) origin(i32)
+// epoch(u64).
 func encodeTargetAck(dst []byte, a TargetAck) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, a.Term)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(a.Origin))
 	dst = binary.BigEndian.AppendUint64(dst, a.Epoch)
 	return dst
@@ -784,7 +649,7 @@ func (c *Conn) sendBatchVec(members []outFrame, total int) error {
 }
 
 // Recv reads the next frame. It returns io.EOF on orderly shutdown. Hello
-// frames are consumed internally (recording the peer's features); batch
+// frames are consumed internally (a version mismatch is an error); batch
 // frames are split and their members returned one per call.
 func (c *Conn) Recv() (Message, error) {
 	for {
@@ -830,7 +695,7 @@ func (c *Conn) Recv() (Message, error) {
 }
 
 // decodeFrame decodes one frame body. handled=true means the frame was
-// consumed internally (hello recorded, batch split into c.pending) and
+// consumed internally (hello checked, batch split into c.pending) and
 // Recv should continue with the next frame or pending member. The body is
 // never retained: payloads are copied into the frame's slab, so the caller
 // can pool it.
@@ -866,52 +731,20 @@ func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, e
 		if err != nil {
 			return Message{}, false, err
 		}
-		t.Term, t.Epoch = SplitTermEpoch(t.Epoch)
-		return Message{Kind: KindTargets, Targets: t}, false, nil
-	case KindTermTargets:
-		if len(body) < 8 {
-			return Message{}, false, fmt.Errorf("transport: short term-targets frame (%d bytes)", len(body))
-		}
-		t, err := decodeTargets(body[8:])
-		if err != nil {
-			return Message{}, false, err
-		}
-		t.Term = binary.BigEndian.Uint64(body[0:8])
 		return Message{Kind: KindTargets, Targets: t}, false, nil
 	case KindReplicaTargets:
 		rt, err := decodeReplicaTargets(body)
 		if err != nil {
 			return Message{}, false, err
 		}
-		rt.Term, rt.Epoch = SplitTermEpoch(rt.Epoch)
-		return Message{Kind: KindReplicaTargets, ReplicaTargets: rt}, false, nil
-	case KindTermReplicaTargets:
-		if len(body) < 8 {
-			return Message{}, false, fmt.Errorf("transport: short term-replica-targets frame (%d bytes)", len(body))
-		}
-		rt, err := decodeReplicaTargets(body[8:])
-		if err != nil {
-			return Message{}, false, err
-		}
-		rt.Term = binary.BigEndian.Uint64(body[0:8])
 		return Message{Kind: KindReplicaTargets, ReplicaTargets: rt}, false, nil
 	case KindTargetAck:
-		if len(body) != 12 {
+		if len(body) != 20 {
 			return Message{}, false, fmt.Errorf("transport: bad target-ack frame (%d bytes)", len(body))
 		}
-		term, epoch := SplitTermEpoch(binary.BigEndian.Uint64(body[4:12]))
 		return Message{Kind: KindTargetAck, TargetAck: TargetAck{
-			Origin: int32(binary.BigEndian.Uint32(body[0:4])),
-			Term:   term,
-			Epoch:  epoch,
-		}}, false, nil
-	case KindTermTargetAck:
-		if len(body) != 20 {
-			return Message{}, false, fmt.Errorf("transport: bad term-target-ack frame (%d bytes)", len(body))
-		}
-		return Message{Kind: KindTargetAck, TargetAck: TargetAck{
-			Origin: int32(binary.BigEndian.Uint32(body[8:12])),
 			Term:   binary.BigEndian.Uint64(body[0:8]),
+			Origin: int32(binary.BigEndian.Uint32(body[8:12])),
 			Epoch:  binary.BigEndian.Uint64(body[12:20]),
 		}}, false, nil
 	case KindBatch:
@@ -920,12 +753,12 @@ func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, e
 		}
 		return Message{}, true, nil
 	case KindHello:
-		if len(body) != 9 {
+		if len(body) > 0 && body[0] != protocolVersion {
+			return Message{}, false, fmt.Errorf("transport: peer speaks protocol version %d, this binary %d", body[0], protocolVersion)
+		}
+		if len(body) != 1 {
 			return Message{}, false, fmt.Errorf("transport: bad hello frame (%d bytes)", len(body))
 		}
-		// Future versions may widen the hello; the version byte is recorded
-		// for diagnostics, the feature bits gate behaviour.
-		c.peerFeatures.Store(binary.BigEndian.Uint64(body[1:9]))
 		return Message{}, true, nil
 	default:
 		return Message{}, false, fmt.Errorf("transport: unknown frame kind %d", kind)

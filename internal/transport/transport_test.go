@@ -343,3 +343,63 @@ func TestRecvTruncatedHeader(t *testing.T) {
 		t.Errorf("truncated header accepted")
 	}
 }
+
+// FuzzDecodeFrame feeds decodeFrame every non-batch frame kind with
+// arbitrary bodies (FuzzDecodeBatch covers batches): it parses bytes from
+// outside the process, so it must never panic, a decoded target vector or
+// matrix must never hold more than its body carried, and a hello of any
+// version but this binary's must be refused.
+func FuzzDecodeFrame(f *testing.F) {
+	s := sdo.SDO{Stream: 3, Seq: 9, Origin: time.Unix(0, 5), Hops: 1, Trace: 2, Key: 4, Payload: []byte("p")}
+	data, err := encodeSDO(nil, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	routed, err := encodeRouted(nil, 5, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	replica, err := encodeReplica(nil, 5, 2, s)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint8(KindData), data)
+	f.Add(uint8(KindRouted), routed)
+	f.Add(uint8(KindReplica), replica)
+	f.Add(uint8(KindFeedback), encodeFeedback(nil, Feedback{PE: 1, RMax: 2.5}))
+	f.Add(uint8(KindHeartbeat), encodeHeartbeat(nil, Heartbeat{Node: 1, Seq: 7}))
+	f.Add(uint8(KindTargets), encodeTargets(nil, Targets{Term: 1, Epoch: 2, CPU: []float64{0.5, 0.25}}))
+	f.Add(uint8(KindReplicaTargets), encodeReplicaTargets(nil, ReplicaTargets{Term: 1, Epoch: 2, CPU: [][]float64{{0.5}, {}, {0.1, 0.2}}}))
+	f.Add(uint8(KindTargetAck), encodeTargetAck(nil, TargetAck{Origin: 3, Term: 1, Epoch: 2}))
+	f.Add(uint8(KindHello), []byte{protocolVersion})
+	// A header claiming 4,194,304 replica-target rows and carrying none.
+	f.Add(uint8(KindReplicaTargets), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0x40, 0, 0})
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
+		if Kind(kind) == KindBatch {
+			return
+		}
+		var c Conn
+		msg, _, err := c.decodeFrame(Kind(kind), body)
+		if err != nil {
+			return
+		}
+		switch Kind(kind) {
+		case KindTargets:
+			if 8*len(msg.Targets.CPU) > len(body) {
+				t.Fatalf("%d-byte body decoded into %d targets", len(body), len(msg.Targets.CPU))
+			}
+		case KindReplicaTargets:
+			need := 4 * len(msg.ReplicaTargets.CPU)
+			for _, row := range msg.ReplicaTargets.CPU {
+				need += 8 * len(row)
+			}
+			if need > len(body) {
+				t.Fatalf("%d-byte body decoded into a matrix needing %d bytes", len(body), need)
+			}
+		case KindHello:
+			if len(body) == 0 || body[0] != protocolVersion {
+				t.Fatalf("hello %x accepted", body)
+			}
+		}
+	})
+}

@@ -1,7 +1,10 @@
 // Command aces-bench regenerates the paper's evaluation: every figure
 // (Figs. 2–5) and every quantitative claim (small-buffer advantage,
 // robustness to allocation errors, closed-loop stability, simulator↔SPC
-// calibration) as plain-text tables. EXPERIMENTS.md records its output.
+// calibration) as plain-text tables, plus E13's hierarchical-solver
+// ladder. EXPERIMENTS.md records its output. The live-runtime acceptance
+// drills (E10–E12, E14) are tests in internal/experiments, and
+// performance is measured by the repository's benchmark, ./bench.
 //
 // Usage:
 //
@@ -15,7 +18,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -29,36 +34,163 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// env is a parsed command line: what a step reads and where it writes.
+type env struct {
+	o            experiments.Options
+	w            io.Writer
+	want         map[string]bool
+	quick        bool
+	csvDir       string
+	jsonTo       string
+	hierSeed     int64
+	hierDeadline time.Duration
+	json         []jsonExperiment // accumulated for -json
+}
+
+// jsonExperiment is one -json entry. Struct field order fixes the key
+// order, so the output is byte-stable across runs of one configuration.
+type jsonExperiment struct {
+	Name string `json:"name"`
+	Rows any    `json:"rows"`
+}
+
+// sel reports whether -exp asked for the named experiment.
+func (e *env) sel(name string) bool { return e.want["all"] || e.want[name] }
+
+// show is a step's tail: given an experiment's (rows, err), it records
+// the rows for -json under name and prints them with format.
+func show[R any](e *env, name string, format func(io.Writer, R)) func(R, error) error {
+	return func(rows R, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.jsonTo != "" {
+			e.json = append(e.json, jsonExperiment{Name: name, Rows: rows})
+		}
+		format(e.w, rows)
+		return nil
+	}
+}
+
+// writeCSV writes rows as the named file under -csv, if it was given.
+func writeCSV[R any](e *env, name string, write func(io.Writer, R) error, rows R) error {
+	if e.csvDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(e.csvDir, 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(e.csvDir + "/" + name)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return write(f, rows)
+}
+
+// step is one entry of the experiment table; names are the -exp names
+// that select it.
+type step struct {
+	names []string
+	run   func(e *env) error
+}
+
+var steps = []step{
+	{[]string{"fig2"}, func(e *env) error {
+		rows, err := experiments.Fanout(e.o)
+		if err := show(e, "fig2", experiments.FormatFanout)(rows, err); err != nil {
+			return err
+		}
+		return writeCSV(e, "fanout.csv", experiments.FanoutCSV, rows)
+	}},
+	{[]string{"fig3", "fig4"}, func(e *env) error {
+		rows, err := experiments.BufferSweep(e.o, nil)
+		format := func(w io.Writer, rows []experiments.BufferRow) {
+			if e.sel("fig3") {
+				experiments.FormatFig3(w, rows)
+			}
+			if e.sel("fig4") {
+				experiments.FormatFig4(w, rows)
+			}
+		}
+		if err := show(e, "fig3+fig4", format)(rows, err); err != nil {
+			return err
+		}
+		return writeCSV(e, "buffer_sweep.csv", experiments.BufferSweepCSV, rows)
+	}},
+	{[]string{"fig5"}, func(e *env) error {
+		rows, err := experiments.BurstinessSweep(e.o, nil)
+		if err := show(e, "fig5", experiments.FormatFig5)(rows, err); err != nil {
+			return err
+		}
+		return writeCSV(e, "burstiness.csv", experiments.BurstinessCSV, rows)
+	}},
+	{[]string{"smallbuf"}, func(e *env) error {
+		return show(e, "smallbuf", experiments.FormatSmallBuffer)(experiments.SmallBufferAdvantage(e.o, nil))
+	}},
+	{[]string{"robust"}, func(e *env) error {
+		return show(e, "robust", experiments.FormatRobustness)(experiments.Robustness(e.o, nil))
+	}},
+	{[]string{"stability"}, func(e *env) error {
+		return show(e, "stability", experiments.FormatStability)(experiments.Stability(e.o))
+	}},
+	{[]string{"calibrate"}, func(e *env) error {
+		return show(e, "calibrate", experiments.FormatCalibration)(experiments.Calibration(e.o))
+	}},
+	{[]string{"ablations"}, func(e *env) error {
+		return show(e, "ablations", experiments.FormatAblations)(experiments.Ablations(e.o))
+	}},
+	{[]string{"hier"}, func(e *env) error {
+		res, err := experiments.RunHier(experiments.HierOptions{Seed: e.hierSeed, Deadline: e.hierDeadline, Quick: e.quick})
+		if err := show(e, "hier", experiments.FormatHier)(res, err); err != nil {
+			return err
+		}
+		if !res.OK {
+			return fmt.Errorf("hierarchical control plane missed the acceptance bar (see table above)")
+		}
+		return nil
+	}},
+}
+
+// expNames lists every valid -exp name in table order, then "all".
+func expNames() []string {
+	var names []string
+	for _, s := range steps {
+		names = append(names, s.names...)
+	}
+	return append(names, "all")
+}
+
+// parseFlags parses args and rejects any -exp name the step table does
+// not know, so a stale script fails instead of running nothing.
+func parseFlags(args []string) (*env, error) {
 	fs := flag.NewFlagSet("aces-bench", flag.ContinueOnError)
 	var (
 		quick  = fs.Bool("quick", false, "reduced scale for a fast pass")
-		exps   = fs.String("exp", "all", "comma-separated: fig2|fig3|fig4|fig5|smallbuf|robust|stability|calibrate|ablations|transport|chaos|retarget|elastic|hier|failover|all")
+		exps   = fs.String("exp", "all", "comma-separated: "+strings.Join(expNames(), "|"))
 		csvDir = fs.String("csv", "", "also write plotting-ready CSVs into this directory")
 		jsonTo = fs.String("json", "", "also write per-experiment results as machine-readable JSON to this file")
 		pes    = fs.Int("pes", 0, "override topology PE count")
 		nodes  = fs.Int("nodes", 0, "override node count")
 		dur    = fs.Float64("duration", 0, "override per-run simulated seconds")
 
-		batchMax    = fs.Int("batch-max", 32, "transport experiment: uplink batch size in SDOs")
-		batchLarge  = fs.Int("batch-max-large", 256, "transport experiment: gathered-write mode batch size in SDOs")
-		batchLinger = fs.Duration("batch-linger", 0, "transport experiment: writer linger before a non-full batch")
-		baseline    = fs.String("baseline", "", "transport experiment: committed -json output to regress against (>20% ns/SDO or allocs/SDO fails)")
-
-		chaosSeed = fs.Int64("chaos-seed", 1, "chaos experiment: fault-schedule seed")
-
-		retargetSeed = fs.Int64("retarget-seed", 7, "retarget experiment: deployment seed")
-
-		elasticSeed = fs.Int64("elastic-seed", 7, "elastic experiment: deployment seed")
-
-		failoverSeed = fs.Int64("failover-seed", 7, "failover experiment: deployment seed")
-
 		hierSeed     = fs.Int64("hier-seed", 13, "hier experiment: topology seed")
 		hierDeadline = fs.Duration("hier-deadline", 0, "hier experiment: per-epoch solve deadline (0 = default)")
-		solverBase   = fs.String("solver-baseline", "", "hier experiment: committed -json output to regress against (>20% normalized hier solve time or <95% quality fails)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+
+	want := map[string]bool{}
+	for _, e := range strings.Split(*exps, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(expNames(), e) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", e, strings.Join(expNames(), ", "))
+		}
+		want[e] = true
 	}
 
 	o := experiments.Default()
@@ -74,339 +206,51 @@ func run(args []string) error {
 	if *dur > 0 {
 		o.Duration = *dur
 	}
+	return &env{
+		o: o, w: os.Stdout, want: want, quick: *quick,
+		csvDir: *csvDir, jsonTo: *jsonTo,
+		hierSeed: *hierSeed, hierDeadline: *hierDeadline,
+	}, nil
+}
 
-	writeCSV := func(name string, fn func(w *os.File) error) error {
-		if *csvDir == "" {
-			return nil
-		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
-		}
-		f, err := os.Create(*csvDir + "/" + name)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return fn(f)
+func run(args []string) error {
+	e, err := parseFlags(args)
+	if err != nil {
+		return err
 	}
 
-	// JSON accumulation: the struct field order fixes the key order, so
-	// the output is byte-stable across runs of the same configuration.
-	type jsonExperiment struct {
-		Name string `json:"name"`
-		Rows any    `json:"rows"`
-	}
-	var jsonExps []jsonExperiment
-	addJSON := func(name string, rows any) {
-		if *jsonTo != "" {
-			jsonExps = append(jsonExps, jsonExperiment{Name: name, Rows: rows})
-		}
-	}
-
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	sel := func(name string) bool { return all || want[name] }
-
-	w := os.Stdout
-	fmt.Fprintf(w, "ACES evaluation reproduction — %d PEs / %d nodes, %.0fs per run, seeds %v\n\n",
-		o.PEs, o.Nodes, o.Duration, o.Seeds)
-
-	type step struct {
-		name string
-		run  func() error
-	}
-	steps := []step{
-		{"fig2", func() error {
-			rows, err := experiments.Fanout(o)
-			if err != nil {
-				return err
-			}
-			addJSON("fig2", rows)
-			experiments.FormatFanout(w, rows)
-			return writeCSV("fanout.csv", func(f *os.File) error {
-				return experiments.FanoutCSV(f, rows)
-			})
-		}},
-		{"fig3+fig4", func() error {
-			if !sel("fig3") && !sel("fig4") {
-				return nil
-			}
-			rows, err := experiments.BufferSweep(o, nil)
-			if err != nil {
-				return err
-			}
-			addJSON("fig3+fig4", rows)
-			if sel("fig3") {
-				experiments.FormatFig3(w, rows)
-			}
-			if sel("fig4") {
-				experiments.FormatFig4(w, rows)
-			}
-			return writeCSV("buffer_sweep.csv", func(f *os.File) error {
-				return experiments.BufferSweepCSV(f, rows)
-			})
-		}},
-		{"fig5", func() error {
-			rows, err := experiments.BurstinessSweep(o, nil)
-			if err != nil {
-				return err
-			}
-			addJSON("fig5", rows)
-			experiments.FormatFig5(w, rows)
-			return writeCSV("burstiness.csv", func(f *os.File) error {
-				return experiments.BurstinessCSV(f, rows)
-			})
-		}},
-		{"smallbuf", func() error {
-			rows, err := experiments.SmallBufferAdvantage(o, nil)
-			if err != nil {
-				return err
-			}
-			addJSON("smallbuf", rows)
-			experiments.FormatSmallBuffer(w, rows)
-			return nil
-		}},
-		{"robust", func() error {
-			rows, err := experiments.Robustness(o, nil)
-			if err != nil {
-				return err
-			}
-			addJSON("robust", rows)
-			experiments.FormatRobustness(w, rows)
-			return nil
-		}},
-		{"stability", func() error {
-			res, err := experiments.Stability(o)
-			if err != nil {
-				return err
-			}
-			addJSON("stability", res)
-			experiments.FormatStability(w, res)
-			return nil
-		}},
-		{"calibrate", func() error {
-			rows, err := experiments.Calibration(o)
-			if err != nil {
-				return err
-			}
-			addJSON("calibrate", rows)
-			experiments.FormatCalibration(w, rows)
-			return nil
-		}},
-		{"ablations", func() error {
-			rows, err := experiments.Ablations(o)
-			if err != nil {
-				return err
-			}
-			addJSON("ablations", rows)
-			experiments.FormatAblations(w, rows)
-			return nil
-		}},
-		{"transport", func() error {
-			to := experiments.TransportOptions{BatchMax: *batchMax, LargeBatchMax: *batchLarge, Linger: *batchLinger}
-			if *quick {
-				to.SDOs = 30000
-			}
-			rows, err := experiments.TransportThroughput(to)
-			if err != nil {
-				return err
-			}
-			addJSON("transport", rows)
-			experiments.FormatTransport(w, rows)
-			if *baseline != "" {
-				base, err := loadTransportBaseline(*baseline)
-				if err != nil {
-					return err
-				}
-				if err := experiments.CompareTransport(base, rows); err != nil {
-					return fmt.Errorf("vs %s: %w", *baseline, err)
-				}
-				fmt.Fprintf(w, "  baseline check vs %s: OK\n\n", *baseline)
-			}
-			return nil
-		}},
-		{"chaos", func() error {
-			co := experiments.ChaosOptions{Seed: *chaosSeed}
-			if *quick {
-				co.TimeScale = 20
-			}
-			row, err := experiments.RunChaos(co)
-			if err != nil {
-				return err
-			}
-			addJSON("chaos", []experiments.ChaosRow{row})
-			experiments.FormatChaos(w, row)
-			if !row.Recovered {
-				return fmt.Errorf("deployment did not recover (pre %.1f, post %.1f sdo/s, members alive %v)",
-					row.PreRate, row.PostRate, row.MembersAlive)
-			}
-			return nil
-		}},
-		{"retarget", func() error {
-			// No -quick override: the run is already only a few wall
-			// seconds, and accelerating the clock further trades margin
-			// (OS-timer slip biases calibration windows) for nothing.
-			ro := experiments.RetargetOptions{Seed: *retargetSeed}
-			row, err := experiments.RunRetarget(ro)
-			if err != nil {
-				return err
-			}
-			addJSON("retarget", []experiments.RetargetRow{row})
-			experiments.FormatRetarget(w, row)
-			if !row.Recovered {
-				return fmt.Errorf("adaptive loop did not recover (adaptive %.0f%%, frozen %.0f%% of oracle, peer epoch %d)",
-					100*row.AdaptiveFrac, 100*row.FrozenFrac, row.PeerEpoch)
-			}
-			return nil
-		}},
-		{"elastic", func() error {
-			eo := experiments.ElasticOptions{Seed: *elasticSeed}
-			row, err := experiments.RunElastic(eo)
-			if err != nil {
-				return err
-			}
-			addJSON("elastic", []experiments.ElasticRow{row})
-			experiments.FormatElastic(w, row)
-			if !row.Recovered {
-				return fmt.Errorf("elastic loop did not absorb the hotspot (elastic %.0f%%, frozen %.0f%% of oracle, %d replicas, peer epoch %d)",
-					100*row.ElasticFrac, 100*row.FrozenFrac, row.ActiveReplicas, row.PeerEpoch)
-			}
-			return nil
-		}},
-		{"failover", func() error {
-			// Like retarget, no -quick override: the run is already short
-			// and the acceptance margins depend on wall-clock calibration
-			// windows that further time-scaling would squeeze.
-			fo := experiments.FailoverOptions{Seed: *failoverSeed}
-			row, err := experiments.RunFailover(fo)
-			if err != nil {
-				return err
-			}
-			addJSON("failover", []experiments.FailoverRow{row})
-			experiments.FormatFailover(w, row)
-			if !row.Recovered {
-				return fmt.Errorf("standby did not recover control (took over %v, claim %.2f, missed %.1f epochs, leaf term %d, fenced %d, failover %.0f%% of baseline)",
-					row.TookOver, row.ClaimAt, row.MissedEpochs, row.LeafTerm, row.Fenced, 100*row.FailoverFrac)
-			}
-			return nil
-		}},
-		{"hier", func() error {
-			ho := experiments.HierOptions{Seed: *hierSeed, Deadline: *hierDeadline, Quick: *quick}
-			res, err := experiments.RunHier(ho)
-			if err != nil {
-				return err
-			}
-			addJSON("hier", res)
-			experiments.FormatHier(w, res)
-			if *solverBase != "" {
-				base, err := loadHierBaseline(*solverBase)
-				if err != nil {
-					return err
-				}
-				if err := experiments.CompareHier(base, res); err != nil {
-					return fmt.Errorf("vs %s: %w", *solverBase, err)
-				}
-				fmt.Fprintf(w, "  baseline check vs %s: OK\n\n", *solverBase)
-			}
-			if !res.OK {
-				return fmt.Errorf("hierarchical control plane missed the acceptance bar (see table above)")
-			}
-			return nil
-		}},
-	}
+	fmt.Fprintf(e.w, "ACES evaluation reproduction — %d PEs / %d nodes, %.0fs per run, seeds %v\n\n",
+		e.o.PEs, e.o.Nodes, e.o.Duration, e.o.Seeds)
 
 	start := time.Now()
 	for _, s := range steps {
-		// The buffer-sweep step self-selects on fig3/fig4.
-		if s.name != "fig3+fig4" && !sel(s.name) {
+		if !slices.ContainsFunc(s.names, e.sel) {
 			continue
 		}
+		name := strings.Join(s.names, "+")
 		t0 := time.Now()
-		if err := s.run(); err != nil {
-			return fmt.Errorf("%s: %w", s.name, err)
+		if err := s.run(e); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		if s.name == "fig3+fig4" && !sel("fig3") && !sel("fig4") {
-			continue
-		}
-		fmt.Fprintf(w, "  [%s done in %.1fs]\n\n", s.name, time.Since(t0).Seconds())
+		fmt.Fprintf(e.w, "  [%s done in %.1fs]\n\n", name, time.Since(t0).Seconds())
 	}
-	fmt.Fprintf(w, "total %.1fs\n", time.Since(start).Seconds())
-	if *jsonTo != "" {
+	fmt.Fprintf(e.w, "total %.1fs\n", time.Since(start).Seconds())
+	if e.jsonTo != "" {
 		doc := struct {
 			PEs         int              `json:"pes"`
 			Nodes       int              `json:"nodes"`
 			Duration    float64          `json:"duration_s"`
 			Seeds       []int64          `json:"seeds"`
 			Experiments []jsonExperiment `json:"experiments"`
-		}{o.PEs, o.Nodes, o.Duration, o.Seeds, jsonExps}
+		}{e.o.PEs, e.o.Nodes, e.o.Duration, e.o.Seeds, e.json}
 		blob, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			return fmt.Errorf("json: %w", err)
 		}
-		if err := os.WriteFile(*jsonTo, append(blob, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(e.jsonTo, append(blob, '\n'), 0o644); err != nil {
 			return fmt.Errorf("json: %w", err)
 		}
-		fmt.Fprintf(w, "wrote %s\n", *jsonTo)
+		fmt.Fprintf(e.w, "wrote %s\n", e.jsonTo)
 	}
 	return nil
-}
-
-// loadTransportBaseline extracts the transport experiment rows from a
-// committed `aces-bench -json` output file.
-func loadTransportBaseline(path string) ([]experiments.TransportRow, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var doc struct {
-		Experiments []struct {
-			Name string          `json:"name"`
-			Rows json.RawMessage `json:"rows"`
-		} `json:"experiments"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	for _, e := range doc.Experiments {
-		if e.Name == "transport" {
-			var rows []experiments.TransportRow
-			if err := json.Unmarshal(e.Rows, &rows); err != nil {
-				return nil, fmt.Errorf("baseline %s: %w", path, err)
-			}
-			return rows, nil
-		}
-	}
-	return nil, fmt.Errorf("baseline %s has no transport experiment", path)
-}
-
-// loadHierBaseline extracts the hier experiment result from a committed
-// `aces-bench -json` output file (BENCH_solver_scale.json).
-func loadHierBaseline(path string) (experiments.HierResult, error) {
-	var zero experiments.HierResult
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return zero, fmt.Errorf("baseline: %w", err)
-	}
-	var doc struct {
-		Experiments []struct {
-			Name string          `json:"name"`
-			Rows json.RawMessage `json:"rows"`
-		} `json:"experiments"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return zero, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	for _, e := range doc.Experiments {
-		if e.Name == "hier" {
-			var res experiments.HierResult
-			if err := json.Unmarshal(e.Rows, &res); err != nil {
-				return zero, fmt.Errorf("baseline %s: %w", path, err)
-			}
-			return res, nil
-		}
-	}
-	return zero, fmt.Errorf("baseline %s has no hier experiment", path)
 }

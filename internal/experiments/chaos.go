@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -338,26 +336,4 @@ func RunChaos(o ChaosOptions) (ChaosRow, error) {
 	linkB.Close()
 	serveWG.Wait()
 	return row, nil
-}
-
-// FormatChaos renders E10.
-func FormatChaos(w io.Writer, r ChaosRow) {
-	verdict := "RECOVERED"
-	if !r.Recovered {
-		verdict = "NOT RECOVERED"
-	}
-	rows := [][]string{{
-		fmt.Sprintf("%d", r.Seed),
-		fmt.Sprintf("%.1f", r.PreRate),
-		fmt.Sprintf("%.1f", r.DipRate),
-		fmt.Sprintf("%.0f%%", r.DipPct),
-		fmt.Sprintf("%.1f", r.PostRate),
-		fmt.Sprintf("%.2f", r.TimeToRecover),
-		fmt.Sprintf("%d", r.Restarts),
-		fmt.Sprintf("%d", r.Reconnects),
-		fmt.Sprintf("%v", r.MembersAlive),
-		verdict,
-	}}
-	Table(w, "E10 — failure domain: seeded PE panic + severed uplink on a 3-node partitioned deployment",
-		[]string{"seed", "pre sdo/s", "dip sdo/s", "dip", "post sdo/s", "t-recover(s)", "restarts", "reconnects", "alive", "verdict"}, rows)
 }

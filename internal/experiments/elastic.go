@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -324,27 +322,4 @@ func RunElastic(o ElasticOptions) (ElasticRow, error) {
 	row.Recovered = row.ElasticFrac >= 0.90 && row.FrozenFrac < 0.90 &&
 		row.ActiveReplicas > 1 && row.PeerEpoch >= 1
 	return row, nil
-}
-
-// FormatElastic renders E12.
-func FormatElastic(w io.Writer, r ElasticRow) {
-	verdict := "RECOVERED"
-	if !r.Recovered {
-		verdict = "NOT RECOVERED"
-	}
-	rows := [][]string{{
-		fmt.Sprintf("%d", r.Seed),
-		fmt.Sprintf("%.0f", r.PreRate),
-		fmt.Sprintf("%.0f", r.FrozenRate),
-		fmt.Sprintf("%.0f", r.ElasticRate),
-		fmt.Sprintf("%.0f", r.OracleRate),
-		fmt.Sprintf("%.0f%%", 100*r.FrozenFrac),
-		fmt.Sprintf("%.0f%%", 100*r.ElasticFrac),
-		fmt.Sprintf("%d", r.ActiveReplicas),
-		fmt.Sprintf("%d", r.Epochs),
-		fmt.Sprintf("%d", r.PeerEpoch),
-		verdict,
-	}}
-	Table(w, "E12 — elastic parallelism: model-driven replication vs frozen topology under a 10× hotspot",
-		[]string{"seed", "pre w/s", "frozen w/s", "elastic w/s", "oracle w/s", "frozen/oracle", "elastic/oracle", "replicas", "epochs", "peer epoch", "verdict"}, rows)
 }

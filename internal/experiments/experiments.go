@@ -10,10 +10,12 @@
 //	E6 §V-C    closed-loop stability (settling, steady error, oscillation)
 //	E7 Fig. 2  max-flow vs min-flow on the fan-out example
 //	E8 §VI-C   simulator-versus-live-runtime calibration
-//	E9 §IV     uplink data-plane throughput: per-frame flush vs batching
+//	E13 §V-B   hierarchical vs monolithic tier-1 solves, 500 → 10,000 PEs
 //
 // Each experiment returns typed rows; Format* helpers render the tables
-// cmd/aces-bench prints and EXPERIMENTS.md records.
+// cmd/aces-bench prints and EXPERIMENTS.md records. The live-runtime
+// acceptance drills — E10 chaos, E11 retarget, E12 elastic, E14
+// failover — run as tests (Test*Recovers) and log their rows there.
 package experiments
 
 import (

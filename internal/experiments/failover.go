@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
@@ -428,27 +426,4 @@ func RunFailover(o FailoverOptions) (FailoverRow, error) {
 		row.Fenced > 0 &&
 		row.FailoverFrac >= 0.90
 	return row, nil
-}
-
-// FormatFailover renders E14.
-func FormatFailover(w io.Writer, r FailoverRow) {
-	verdict := "RECOVERED"
-	if !r.Recovered {
-		verdict = "NOT RECOVERED"
-	}
-	rows := [][]string{{
-		fmt.Sprintf("%d", r.Seed),
-		fmt.Sprintf("%.1f", r.KillAt),
-		fmt.Sprintf("%.2f", r.ClaimAt),
-		fmt.Sprintf("%d", r.ClaimTerm),
-		fmt.Sprintf("%.1f", r.MissedEpochs),
-		fmt.Sprintf("%d", r.LeafTerm),
-		fmt.Sprintf("%d", r.Fenced),
-		fmt.Sprintf("%.0f", r.BaselineRate),
-		fmt.Sprintf("%.0f", r.FailoverRate),
-		fmt.Sprintf("%.0f%%", 100*r.FailoverFrac),
-		verdict,
-	}}
-	Table(w, "E14 — controller failover: term-fenced standby takeover under a mid-run controller kill",
-		[]string{"seed", "kill at", "claim at", "term", "missed epochs", "leaf term", "fenced", "baseline w/s", "failover w/s", "failover/baseline", "verdict"}, rows)
 }

@@ -73,9 +73,8 @@ type HierOptions struct {
 
 func (o *HierOptions) fillDefaults() {
 	if o.Quick {
-		// The quick ladder is a PREFIX of the full one so CI's run shares
-		// scales with the committed full-ladder baseline (CompareHier
-		// gates the common points).
+		// The quick ladder is a prefix of the full one, so its rows read
+		// against the full ladder's at the same scales.
 		if len(o.Scales) == 0 {
 			o.Scales = []int{500, 1000, 2000}
 		}
@@ -526,65 +525,4 @@ func FormatHier(w io.Writer, res HierResult) {
 		verdict = "FAILED"
 	}
 	fmt.Fprintf(w, "  verdict: %s (gate: hier within deadline and ≥ bar at every scale — 95%% vs a converged mono, 90%% vs a 4×-budget truncated one — grad ≥ 99%% at ≥ 10×, and sim ≥ 95%%)\n\n", verdict)
-}
-
-// CompareHier gates CI on the committed solver-scale baseline. Absolute
-// wall time is machine-dependent, so each scale's hierarchical solve
-// time is normalized by the same run's smallest COMMON scale before
-// comparing: the curve's SHAPE is the invariant (near-linear growth in
-// region count), and a point whose normalized cost grew more than 20%
-// over the committed curve means the decomposition stopped scaling.
-// Only scales present in both runs are compared — CI's quick ladder is
-// a prefix of the committed full ladder. Quality is re-gated
-// absolutely at each scale's bar (95% with a converged monolithic
-// oracle, 90% against a truncated one).
-func CompareHier(baseline, current HierResult) error {
-	cur := make(map[int]HierScaleRow, len(current.Scales))
-	for _, r := range current.Scales {
-		cur[r.PEs] = r
-	}
-	var common []HierScaleRow // baseline rows with a current counterpart
-	for _, b := range baseline.Scales {
-		if _, ok := cur[b.PEs]; ok {
-			common = append(common, b)
-		}
-	}
-	if len(common) == 0 {
-		return fmt.Errorf("baseline and current run share no scales")
-	}
-	ba, ca := common[0], cur[common[0].PEs]
-	if ba.HierMillis <= 0 || ca.HierMillis <= 0 {
-		return fmt.Errorf("anchor scale %d has no hier solve time", ba.PEs)
-	}
-	var faults []string
-	for _, b := range common {
-		c := cur[b.PEs]
-		relB := b.HierMillis / ba.HierMillis
-		relC := c.HierMillis / ca.HierMillis
-		// The absolute floor keeps sub-anchor noise (tiny scales jitter by
-		// single milliseconds) from tripping the ratio.
-		if relC > relB*1.20 && c.HierMillis > ca.HierMillis+5 {
-			faults = append(faults, fmt.Sprintf("scale %d: hier solve %.2f× the anchor vs %.2f× committed (>+20%%)",
-				b.PEs, relC, relB))
-		}
-		if bar := hierFracBar(c); c.HierFrac < bar {
-			faults = append(faults, fmt.Sprintf("scale %d: hier/mono %.1f%% < %.0f%%", b.PEs, 100*c.HierFrac, 100*bar))
-		}
-	}
-	// The gradient-engine row is gated absolutely: both objective fraction
-	// and speedup are ratios between two solves on the SAME machine, so no
-	// baseline normalization is needed. The FD reference is deadline-capped
-	// either way, which only helps the analytic side on slower runners.
-	if g := current.Grad; g.PEs > 0 {
-		if g.Frac < 0.99 {
-			faults = append(faults, fmt.Sprintf("grad: analytic objective %.2f%% of finite-diff reference < 99%%", 100*g.Frac))
-		}
-		if g.Speedup < 10 {
-			faults = append(faults, fmt.Sprintf("grad: analytic speedup %.1f× < 10×", g.Speedup))
-		}
-	}
-	if len(faults) > 0 {
-		return fmt.Errorf("hier regression: %v", faults)
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -327,26 +325,4 @@ func RunRetarget(o RetargetOptions) (RetargetRow, error) {
 	}
 	row.Recovered = row.AdaptiveFrac >= 0.90 && row.FrozenFrac < 0.90 && row.PeerEpoch >= 1
 	return row, nil
-}
-
-// FormatRetarget renders E11.
-func FormatRetarget(w io.Writer, r RetargetRow) {
-	verdict := "RECOVERED"
-	if !r.Recovered {
-		verdict = "NOT RECOVERED"
-	}
-	rows := [][]string{{
-		fmt.Sprintf("%d", r.Seed),
-		fmt.Sprintf("%.0f", r.PreRate),
-		fmt.Sprintf("%.0f", r.FrozenRate),
-		fmt.Sprintf("%.0f", r.AdaptiveRate),
-		fmt.Sprintf("%.0f", r.OracleRate),
-		fmt.Sprintf("%.0f%%", 100*r.FrozenFrac),
-		fmt.Sprintf("%.0f%%", 100*r.AdaptiveFrac),
-		fmt.Sprintf("%d", r.Epochs),
-		fmt.Sprintf("%d", r.PeerEpoch),
-		verdict,
-	}}
-	Table(w, "E11 — adaptive loop: online calibration + retargeting vs frozen tier-1 targets after a 4× cost step",
-		[]string{"seed", "pre w/s", "frozen w/s", "adaptive w/s", "oracle w/s", "frozen/oracle", "adaptive/oracle", "epochs", "peer epoch", "verdict"}, rows)
 }

@@ -72,7 +72,10 @@ type SDO struct {
 	// the sender decides the replica, so it does not travel on the wire.
 	Key uint64
 	// Payload is opaque application data. The control plane and both
-	// substrates never inspect it.
+	// substrates never inspect it. A payload received from the wire is a
+	// capacity-clipped []byte view into a slab shared with its frame
+	// neighbours: it must not be written, and keeping it pins at most its
+	// slab (32 KiB of payloads plus their slice headers), never the frame.
 	Payload any
 }
 

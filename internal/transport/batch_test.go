@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -455,10 +456,153 @@ func TestBatchPayloadSlab(t *testing.T) {
 	}
 }
 
+// payloadBatch is a valid batch of routed members, one per size, whose
+// payloads are distinct byte patterns (a size of 0 is a header-only
+// member). It returns the body and the payload each member carries.
+func payloadBatch(tb testing.TB, sizes []int) (body []byte, sent [][]byte) {
+	tb.Helper()
+	members := make([]outFrame, len(sizes))
+	sent = make([][]byte, len(sizes))
+	for i, n := range sizes {
+		s := sdo.SDO{Stream: 1, Seq: uint64(i), Origin: time.Unix(0, 1)}
+		if n > 0 {
+			p := make([]byte, n)
+			for j := range p {
+				p[j] = byte(i*7 + j)
+			}
+			s.Payload, s.Bytes, sent[i] = p, n, p
+		}
+		b, err := encodeRouted(nil, sdo.PEID(i), s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		members[i] = outFrame{kind: KindRouted, body: b}
+	}
+	return batchBody(members), sent
+}
+
+// mixedSizes interleaves header-only members with 512-byte payloads over
+// more than one slab, with one payload above slabCap in the middle.
+func mixedSizes() []int {
+	var sizes []int
+	for i := 0; i < 150; i++ {
+		switch {
+		case i == 75:
+			sizes = append(sizes, slabCap+3)
+		case i%3 == 1:
+			sizes = append(sizes, 0)
+		default:
+			sizes = append(sizes, 512)
+		}
+	}
+	return sizes
+}
+
+// TestBoxedPayloadRoundTrip: a payload boxed in place in its slab's header
+// array must be an ordinary []byte to every consumer. Each decoded payload
+// of a mixed batch type-switches as []byte in the encoder, equals the
+// sent bytes with no spare capacity, and re-sends unchanged.
+func TestBoxedPayloadRoundTrip(t *testing.T) {
+	sizes := mixedSizes()
+	small := 0
+	for _, n := range sizes {
+		if n <= slabCap {
+			small += n
+		}
+	}
+	if small <= slabCap {
+		t.Fatalf("mixed batch carries %d bytes in slab-sized payloads, not enough to span a slab", small)
+	}
+	body, sent := payloadBatch(t, sizes)
+	var c Conn
+	if err := c.decodeBatch(body); err != nil {
+		t.Fatal(err)
+	}
+	client, server := pair(t)
+	for i, want := range sent {
+		m, err := c.Recv()
+		if err != nil {
+			t.Fatalf("member %d: %v", i, err)
+		}
+		if want == nil {
+			if m.SDO.Payload != nil {
+				t.Fatalf("header-only member %d decoded with payload %v", i, m.SDO.Payload)
+			}
+			continue
+		}
+		enc, err := encodeSDO(nil, m.SDO)
+		if err != nil {
+			t.Fatalf("member %d: encoder refused the decoded payload: %v", i, err)
+		}
+		if !bytes.Equal(enc[sdoHeaderLen:], want) {
+			t.Fatalf("member %d: encoder saw a different payload", i)
+		}
+		p := m.SDO.Payload.([]byte)
+		if !bytes.Equal(p, want) || cap(p) != len(p) {
+			t.Fatalf("member %d payload mangled: len %d cap %d, want len %d", i, len(p), cap(p), len(want))
+		}
+		if err := server.SendSDO(m.SDO); err != nil {
+			t.Fatal(err)
+		}
+		back, err := client.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := back.SDO.Payload.([]byte); !ok || !bytes.Equal(got, want) || back.SDO.Seq != uint64(i) {
+			t.Fatalf("member %d re-sent as seq %d payload %T of %d bytes", i, back.SDO.Seq, back.SDO.Payload, len(got))
+		}
+	}
+}
+
+// TestPayloadRetentionBound: a payload a PE keeps pins its own slab and
+// header array, not the frame. Keeping one payload of a 256 × 512 B batch
+// (four slabs) must leave under one slab plus one header array live;
+// a header array shared by the frame would pin all ~128 KiB.
+func TestPayloadRetentionBound(t *testing.T) {
+	sizes := make([]int, 256)
+	for i := range sizes {
+		sizes[i] = 512
+	}
+	body, _ := payloadBatch(t, sizes)
+	keep := func() any {
+		var c Conn
+		if err := c.decodeBatch(body); err != nil {
+			t.Fatal(err)
+		}
+		var kept any
+		for i := range sizes {
+			m, err := c.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 30 {
+				kept = m.SDO.Payload
+			}
+		}
+		return kept
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	kept := keep()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(body) // the frame is the sender's; only what decode made counts
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 64<<10 {
+		t.Errorf("one kept payload pins %d heap bytes, want under one slab plus its headers (%d)", grew, 64<<10)
+	}
+	if p := kept.([]byte); len(p) != 512 || p[0] != 30*7 {
+		t.Errorf("kept payload changed: len %d first byte %d", len(p), p[0])
+	}
+}
+
 // FuzzDecodeBatch feeds the batch decoder arbitrary bodies: it parses bytes
 // from outside the process, so it must never panic, must be all-or-nothing
-// (an error leaves no member pending) and must never hold more payload
-// bytes than the frame carried.
+// (an error leaves no member pending), must never hold more payload bytes
+// than the frame carried, and must hand every payload member back as a
+// []byte equal to the member's payload.
 func FuzzDecodeBatch(f *testing.F) {
 	for _, tc := range malformedBatches(f) {
 		f.Add(tc.body)
@@ -479,6 +623,10 @@ func FuzzDecodeBatch(f *testing.F) {
 	}
 	f.Add(batchBody([]outFrame{{kind: KindData, body: small}}))
 	f.Add(batchBody([]outFrame{{kind: KindRouted, body: routed}, {kind: KindData, body: small}, {kind: KindReplica, body: replica}}))
+	mixed, _ := payloadBatch(f, mixedSizes())
+	f.Add(mixed)
+	oversize, _ := payloadBatch(f, []int{0, slabCap + 1, 0})
+	f.Add(oversize)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var c Conn
 		err := c.decodeBatch(body)
@@ -493,9 +641,23 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("accepted batch of %d members staged %d", want, len(pending))
 		}
 		held := 0
+		rest := body[4:]
 		for i := range pending {
+			k := Kind(rest[0])
+			mlen := binary.BigEndian.Uint32(rest[1:5])
+			want := rest[5+dataPrefix(k)+sdoHeaderLen : 5+mlen]
+			rest = rest[5+mlen:]
 			p, _ := pending[i].sdo.Payload.([]byte)
-			if cap(p) != len(p) || (len(p) > 0 && pending[i].sdo.Bytes != len(p)) {
+			if len(want) == 0 {
+				if pending[i].sdo.Payload != nil {
+					t.Fatalf("header-only member %d decoded with payload %T", i, pending[i].sdo.Payload)
+				}
+				continue
+			}
+			if !bytes.Equal(p, want) {
+				t.Fatalf("member %d: payload %T of %d bytes, the member carried %d", i, pending[i].sdo.Payload, len(p), len(want))
+			}
+			if cap(p) != len(p) || pending[i].sdo.Bytes != len(p) {
 				t.Fatalf("member %d: payload len %d cap %d, SDO.Bytes %d", i, len(p), cap(p), pending[i].sdo.Bytes)
 			}
 			held += cap(p)

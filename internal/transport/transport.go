@@ -39,6 +39,7 @@ import (
 	"net"
 	"sync"
 	"time"
+	"unsafe"
 
 	"aces/internal/sdo"
 )
@@ -697,7 +698,7 @@ func (c *Conn) Recv() (Message, error) {
 // decodeFrame decodes one frame body. handled=true means the frame was
 // consumed internally (hello checked, batch split into c.pending) and
 // Recv should continue with the next frame or pending member. The body is
-// never retained: payloads are copied into the frame's slab, so the caller
+// never retained: payloads are copied into payload slabs, so the caller
 // can pool it.
 func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, err error) {
 	switch kind {
@@ -706,7 +707,10 @@ func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, e
 		if err != nil {
 			return Message{}, false, err
 		}
-		slab := make([]byte, plen) // a slab of one
+		var slab payloadSlab
+		if plen > 0 {
+			slab = newPayloadSlab(plen, 1) // a slab of one
+		}
 		var m staged
 		decodeData(&m, kind, body, &slab)
 		return m.message(), false, nil
@@ -770,6 +774,31 @@ func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, e
 // payload above the cap gets an allocation of its own.
 const slabCap = 32 << 10
 
+// payloadSlab is where decoded payloads live: buf holds them back to
+// back, and hdrs holds one slice header per payload, which is the box
+// SDO.Payload points at (see boxed). Both are allocated together and
+// consumed from the front, so a payload a PE keeps pins its own slab and
+// header array and nothing else of the frame.
+type payloadSlab struct {
+	buf  []byte
+	hdrs [][]byte
+}
+
+func newPayloadSlab(n, payloads int) payloadSlab {
+	return payloadSlab{buf: make([]byte, n), hdrs: make([][]byte, payloads)}
+}
+
+// boxed returns *h as an any without allocating: the interface's type
+// word is []byte's and its data word points at *h itself, where a plain
+// conversion would copy the header into a fresh 24-byte heap box. The
+// header array is thus the box, so *h must be written once, before it is
+// boxed, and never again.
+func boxed(h *[]byte) any {
+	v := any([]byte(nil)) // the type word; boxing a nil slice allocates nothing
+	(*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1] = unsafe.Pointer(h)
+	return v
+}
+
 // staged is a decoded batch member awaiting Recv: the fields of Message a
 // data frame can set (112 bytes against Message's 248).
 type staged struct {
@@ -821,15 +850,15 @@ func (c *Conn) decodeBatch(body []byte) error {
 	}
 	c.pending = c.pending[:count]
 	c.pendHead = 0
-	var slab []byte
+	var slab payloadSlab
 	rest = body[4:]
 	for i := range c.pending {
 		k := Kind(rest[0])
 		mlen := int(binary.BigEndian.Uint32(rest[1:5]))
 		mbody := rest[5 : 5+mlen]
 		rest = rest[5+mlen:]
-		if plen := mlen - dataPrefix(k) - sdoHeaderLen; plen > len(slab) {
-			slab = make([]byte, slabSpan(plen, rest))
+		if plen := mlen - dataPrefix(k) - sdoHeaderLen; plen > len(slab.buf) {
+			slab = newPayloadSlab(slabSpan(plen, rest))
 		}
 		decodeData(&c.pending[i], k, mbody, &slab)
 	}
@@ -838,8 +867,11 @@ func (c *Conn) decodeBatch(body []byte) error {
 
 // slabSpan sizes the slab opened by an n-byte payload: that payload plus
 // those of the members following in rest (already validated) for as long
-// as the total stays within slabCap. Slabs are therefore filled exactly.
-func slabSpan(n int, rest []byte) int {
+// as the total stays within slabCap. It returns the slab's bytes and the
+// number of payloads they hold, so slabs and their header arrays are
+// filled exactly.
+func slabSpan(n int, rest []byte) (bytes, payloads int) {
+	payloads = 1
 	for len(rest) > 0 {
 		mlen := int(binary.BigEndian.Uint32(rest[1:5]))
 		plen := mlen - dataPrefix(Kind(rest[0])) - sdoHeaderLen
@@ -847,9 +879,12 @@ func slabSpan(n int, rest []byte) int {
 			break
 		}
 		n += plen
+		if plen > 0 {
+			payloads++
+		}
 		rest = rest[5+mlen:]
 	}
-	return n
+	return n, payloads
 }
 
 // sdoHeaderLen is the fixed prefix of a data-frame body: stream(4) +
@@ -891,10 +926,11 @@ func checkData(k Kind, body []byte) (int, error) {
 }
 
 // decodeData decodes into m a body checkData accepted. The payload (if
-// any) is copied into the front of *slab, which must have room for it, so
-// the caller may recycle body immediately; it is handed out capacity-
-// clipped, so an append on it cannot reach the slab's next payload.
-func decodeData(m *staged, k Kind, body []byte, slab *[]byte) {
+// any) is copied into the front of slab, which must have room for it and
+// its header, so the caller may recycle body immediately; it is handed
+// out capacity-clipped, so an append on it cannot reach the slab's next
+// payload.
+func decodeData(m *staged, k Kind, body []byte, slab *payloadSlab) {
 	*m = staged{kind: k}
 	if k != KindData {
 		m.to = sdo.PEID(int32(binary.BigEndian.Uint32(body[0:4])))
@@ -913,10 +949,12 @@ func decodeData(m *staged, k Kind, body []byte, slab *[]byte) {
 		Bytes:  1,
 	}
 	if p := body[sdoHeaderLen:]; len(p) > 0 {
-		v := (*slab)[:len(p):len(p)]
-		*slab = (*slab)[len(p):]
-		copy(v, p)
-		m.sdo.Payload, m.sdo.Bytes = v, len(p)
+		h := &slab.hdrs[0]
+		slab.hdrs = slab.hdrs[1:]
+		*h = slab.buf[:len(p):len(p)]
+		slab.buf = slab.buf[len(p):]
+		copy(*h, p)
+		m.sdo.Payload, m.sdo.Bytes = boxed(h), len(p)
 	}
 }
 

@@ -106,14 +106,3 @@ func TestFlowGainDesignThroughFacade(t *testing.T) {
 		t.Errorf("r_max = %g, want ≈4", r)
 	}
 }
-
-func TestExperimentOptionsExposed(t *testing.T) {
-	d := aces.DefaultExperiments()
-	q := aces.QuickExperiments()
-	if d.PEs != 200 || d.Nodes != 80 {
-		t.Errorf("paper scale wrong: %+v", d)
-	}
-	if q.PEs >= d.PEs || q.Duration >= d.Duration {
-		t.Errorf("quick options should be smaller than default")
-	}
-}

@@ -15,12 +15,8 @@ import (
 	"os"
 
 	"aces"
+	"aces/internal/graph"
 )
-
-type document struct {
-	Topology *aces.Topology `json:"topology"`
-	CPU      []float64      `json:"cpu,omitempty"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -57,22 +53,10 @@ func run(args []string) error {
 	var topo *aces.Topology
 	var cpu []float64
 	if *topoFile != "" {
-		data, err := os.ReadFile(*topoFile)
+		topo, cpu, err = graph.ReadFile(*topoFile)
 		if err != nil {
 			return err
 		}
-		var doc document
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("parse %s: %w", *topoFile, err)
-		}
-		if doc.Topology == nil {
-			return fmt.Errorf("no topology in %s", *topoFile)
-		}
-		if err := doc.Topology.Rebuild(); err != nil {
-			return err
-		}
-		topo = doc.Topology
-		cpu = doc.CPU
 	} else {
 		topo, err = aces.Generate(aces.DefaultGenConfig(*pes, *nodes, *seed))
 		if err != nil {

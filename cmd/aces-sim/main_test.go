@@ -1,12 +1,13 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"aces"
+	"aces/internal/graph"
 )
 
 // writeTopo produces a tiny solved topology document for the -topo path.
@@ -20,13 +21,12 @@ func writeTopo(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := document{Topology: topo, CPU: alloc.CPU}
-	data, err := json.Marshal(doc)
-	if err != nil {
+	var doc bytes.Buffer
+	if err := graph.Write(&doc, topo, alloc.CPU); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "topo.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, doc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path

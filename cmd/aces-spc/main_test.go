@@ -1,15 +1,17 @@
 package main
 
 import (
-	"encoding/json"
-	"net"
+	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"aces"
+	"aces/internal/doccmd"
+	"aces/internal/graph"
 )
 
 func TestLocalMode(t *testing.T) {
@@ -21,50 +23,11 @@ func TestLocalMode(t *testing.T) {
 	}
 }
 
-// freeLoopbackAddr asks the kernel for an unused loopback port and
-// releases it for the code under test to bind.
-func freeLoopbackAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-func TestSendRecvOverLoopback(t *testing.T) {
-	addr := freeLoopbackAddr(t)
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- run([]string{"-mode", "recv", "-listen", addr})
-	}()
-	// The sender does not redial, and on a loaded box the receiver
-	// goroutine may not have bound yet: retry until a deadline.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		sendErr := run([]string{"-mode", "send", "-connect", addr, "-rate", "20000", "-count", "500"})
-		if sendErr == nil {
-			break
-		}
-		select {
-		case err := <-errCh:
-			t.Fatalf("recv ended before any send succeeded: %v (last send error: %v)", err, sendErr)
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("send never succeeded: %v", sendErr)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-}
-
 func TestUnknownMode(t *testing.T) {
-	if err := run([]string{"-mode", "wat"}); err == nil {
-		t.Errorf("unknown mode accepted")
+	for _, mode := range []string{"wat", "send", "recv"} {
+		if err := run([]string{"-mode", mode}); err == nil {
+			t.Errorf("unknown mode %q accepted", mode)
+		}
 	}
 	if err := run([]string{"-mode", "local", "-policy", "bogus"}); err == nil {
 		t.Errorf("unknown policy accepted")
@@ -93,16 +56,12 @@ func TestNodeModePairOverLoopback(t *testing.T) {
 	if err := topo.AddSource(aces.Source{Stream: 1, Target: 0, Rate: 80, Burst: aces.BurstSpec{Kind: aces.BurstDeterministic}}); err != nil {
 		t.Fatal(err)
 	}
-	doc := struct {
-		Topology *aces.Topology `json:"topology"`
-		CPU      []float64      `json:"cpu"`
-	}{topo, []float64{0.4, 0.4, 0.4, 0.4}}
-	data, err := json.Marshal(doc)
-	if err != nil {
+	var doc bytes.Buffer
+	if err := graph.Write(&doc, topo, []float64{0.4, 0.4, 0.4, 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "topo.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, doc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -142,5 +101,55 @@ func TestNodeModeValidation(t *testing.T) {
 	}
 	if err := run([]string{"-mode", "node", "-topo", "x.json", "-local-nodes", "0", "-listen", ":1", "-peer", "y"}); err == nil {
 		t.Errorf("node mode with both listen and peer accepted")
+	}
+}
+
+// The flags are what a recipe, a CI step or a test passes; anything else
+// is a library default or a fixed value in runNode.
+func TestFlagCount(t *testing.T) {
+	fs, _ := newFlagSet()
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n > 20 {
+		t.Errorf("aces-spc registers %d flags, want at most 20", n)
+	}
+}
+
+// The documents that tell a reader how to run aces-spc, and its own
+// package doc, must show only command lines it accepts: every code-block
+// line passes parseFlags, cross-flag rules included, and every inline code
+// span that names aces-spc names only its flags. CHANGES.md is history and
+// is not checked.
+func TestDocsNameRealCommands(t *testing.T) {
+	fs, _ := newFlagSet()
+	var cmds []doccmd.Command
+	for _, doc := range []string{"main.go", "../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md", "../../.claude/skills/verify/SKILL.md"} {
+		c, err := doccmd.Scan(doc, "aces-spc")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c) == 0 {
+			t.Errorf("%s: no aces-spc command found; the scanner or the doc changed", doc)
+		}
+		cmds = append(cmds, c...)
+	}
+	for _, c := range cmds {
+		if c.Block {
+			if _, err := parseFlags(c.Args); err != nil {
+				t.Errorf("%s: aces-spc %s: %v", c.At, strings.Join(c.Args, " "), err)
+			}
+			continue
+		}
+		for _, a := range c.Args {
+			name, ok := strings.CutPrefix(a, "-")
+			name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
+			// Skip values, including negative numbers such as -1.
+			if !ok || name == "" || (name[0] >= '0' && name[0] <= '9') {
+				continue
+			}
+			if fs.Lookup(name) == nil {
+				t.Errorf("%s: aces-spc has no flag -%s", c.At, name)
+			}
+		}
 	}
 }

@@ -10,20 +10,15 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"aces"
+	"aces/internal/graph"
+	"aces/internal/hier"
 )
-
-// document bundles a topology with optional tier-1 targets for transport
-// between the CLI tools.
-type document struct {
-	Topology *aces.Topology `json:"topology"`
-	CPU      []float64      `json:"cpu,omitempty"`
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -55,29 +50,19 @@ func run(args []string) error {
 	}
 
 	if *validate != "" {
-		data, err := os.ReadFile(*validate)
+		topo, _, err := graph.ReadFile(*validate)
 		if err != nil {
 			return err
 		}
-		var doc document
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("parse: %w", err)
-		}
-		if doc.Topology == nil {
-			return fmt.Errorf("no topology in %s", *validate)
-		}
-		if err := doc.Topology.Rebuild(); err != nil {
+		if err := topo.Validate(); err != nil {
 			return err
 		}
-		if err := doc.Topology.Validate(); err != nil {
-			return err
-		}
-		capRate, err := doc.Topology.BottleneckIngressRate()
+		capRate, err := topo.BottleneckIngressRate()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("ok: %d PEs on %d nodes, %d edges, %d sources, fluid capacity %.1f SDO/s per source\n",
-			doc.Topology.NumPEs(), doc.Topology.NumNodes, len(doc.Topology.Edges), len(doc.Topology.Sources), capRate)
+			topo.NumPEs(), topo.NumNodes, len(topo.Edges), len(topo.Sources), capRate)
 		return nil
 	}
 
@@ -92,9 +77,9 @@ func run(args []string) error {
 		return err
 	}
 
-	var dec *aces.HierDecomposition
+	var dec *hier.Decomposition
 	if *regions > 0 {
-		dec, err = aces.HierPartition(topo, aces.HierPartitionConfig{Regions: *regions})
+		dec, err = hier.Partition(topo, hier.PartitionConfig{Regions: *regions})
 		if err != nil {
 			return err
 		}
@@ -106,28 +91,19 @@ func run(args []string) error {
 	}
 
 	if *dotOut != "" {
-		f, err := os.Create(*dotOut)
-		if err != nil {
-			return err
-		}
 		title := fmt.Sprintf("%d PEs / %d nodes (seed %d)", topo.NumPEs(), topo.NumNodes, *seed)
-		werr := error(nil)
-		if dec != nil {
-			title += fmt.Sprintf(", %d regions", len(dec.Regions))
-			werr = aces.WriteHierDOT(f, topo, dec, title)
-		} else {
-			werr = topo.WriteDOT(f, title)
-		}
-		if werr != nil {
-			f.Close()
-			return werr
-		}
-		if err := f.Close(); err != nil {
+		err := create(*dotOut, func(w io.Writer) error {
+			if dec == nil {
+				return topo.WriteDOT(w, title)
+			}
+			return hier.WriteDOT(w, topo, dec, fmt.Sprintf("%s, %d regions", title, len(dec.Regions)))
+		})
+		if err != nil {
 			return err
 		}
 	}
 
-	doc := document{Topology: topo}
+	var cpu []float64
 	if *solve {
 		alloc, err := aces.Optimize(topo, aces.OptimizeConfig{
 			MaxIters: *iters, Utility: aces.LinearUtility{}, MinShare: 0.02,
@@ -135,19 +111,27 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		doc.CPU = alloc.CPU
+		cpu = alloc.CPU
 		fmt.Fprintf(os.Stderr, "tier-1: fluid weighted throughput %.2f in %d iterations\n",
 			alloc.WeightedThroughput, alloc.Iterations)
 	}
 
-	data, err := json.MarshalIndent(doc, "", "  ")
+	write := func(w io.Writer) error { return graph.Write(w, topo, cpu) }
+	if *out == "" {
+		return write(os.Stdout)
+	}
+	return create(*out, write)
+}
+
+// create writes the file at path with write.
+func create(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if *out == "" {
-		_, err = os.Stdout.Write(data)
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	return os.WriteFile(*out, data, 0o644)
+	return f.Close()
 }

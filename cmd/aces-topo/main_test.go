@@ -1,11 +1,12 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"aces/internal/graph"
 )
 
 func TestGenerateValidateRoundTrip(t *testing.T) {
@@ -19,16 +20,12 @@ func TestGenerateValidateRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(topoPath)
+	topo, cpu, err := graph.ReadFile(topoPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc document
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Topology == nil || len(doc.CPU) != 20 {
-		t.Fatalf("document incomplete: topo=%v cpu=%d", doc.Topology != nil, len(doc.CPU))
+	if topo.NumPEs() != 20 || len(cpu) != 20 {
+		t.Fatalf("document incomplete: pes=%d cpu=%d", topo.NumPEs(), len(cpu))
 	}
 	dot, err := os.ReadFile(dotPath)
 	if err != nil {

@@ -23,20 +23,18 @@
 // downstream feedback (Eq. 8 — the max-flow policy: a producer runs fast
 // enough for its fastest consumer; slower consumers shed).
 //
-// # Package layout
+// # What this package is for
 //
-// This root package is a facade re-exporting the stable public API:
-//
-//   - Topologies: Topology, PE, Source, Generate (the paper's random
-//     topology tool), and placement/validation helpers.
-//   - Tier 1: Optimize (projected-subgradient solver), utilities
-//     (LinearUtility, LogUtility, ExpUtility), Allocation.
-//   - Tier 2: DesignFlowGains (DARE/LQR synthesis), FlowController,
-//     token buckets and node CPU planners.
-//   - Substrates: Simulate (discrete-time simulator) and NewCluster (the
-//     live goroutine runtime with in-process and TCP transports).
-//   - Experiments: the E1–E8 harness regenerating every paper artifact
-//     (see DESIGN.md and EXPERIMENTS.md).
+// This root package is the facade a program uses to drive the paper's
+// three parts: build or generate a topology, solve tier 1 with Optimize,
+// design the tier-2 flow controller with DesignFlowGains, and run the
+// result on the simulator (Simulate) or the live runtime (NewCluster),
+// in one process or partitioned across processes over TCP links, with
+// tracing and a debug endpoint when asked. It exports what the programs
+// under examples/ and cmd/ need for that and nothing more; a test pins
+// the exported names. Everything else (the experiment harness, the
+// hierarchical solver, the chaos drills) lives under internal/ and is
+// reached through cmd/ and the tests.
 //
 // # Quickstart
 //

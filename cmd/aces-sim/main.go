@@ -25,55 +25,80 @@ func main() {
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("aces-sim", flag.ContinueOnError)
-	var (
-		topoFile = fs.String("topo", "", "topology JSON from aces-topo (default: generate)")
-		pes      = fs.Int("pes", 60, "PEs when generating")
-		nodes    = fs.Int("nodes", 10, "nodes when generating")
-		seed     = fs.Int64("seed", 1, "generation/workload seed")
-		polName  = fs.String("policy", "aces", "policy: aces | udp | lockstep | loadshed | aces-minflow | aces-strictcpu")
-		duration = fs.Float64("duration", 30, "simulated seconds")
-		buffer   = fs.Int("buffer", 0, "override per-PE buffer size B (0 = keep)")
-		lambdaS  = fs.Float64("lambda-s", 0, "override burstiness λ_S (0 = keep)")
-		iters    = fs.Int("iters", 800, "tier-1 iterations when targets are not provided")
-		linkCap  = fs.Float64("link-capacity", 0, "per-node egress bandwidth in SDOs/sec (0 = unlimited)")
-		netDelay = fs.Float64("net-delay", 0, "inter-node transit delay in seconds")
-		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+// options is a parsed aces-sim command line.
+type options struct {
+	topoFile          string
+	pol               aces.Policy
+	pes, nodes        int
+	seed              int64
+	duration, lambdaS float64
+	buffer, iters     int
+	json              bool
+}
 
-	pol, err := aces.ParsePolicy(*polName)
+// newFlagSet registers every aces-sim flag, each bound to a field of the
+// returned options.
+func newFlagSet() (*flag.FlagSet, *options) {
+	fs := flag.NewFlagSet("aces-sim", flag.ContinueOnError)
+	o := &options{pol: aces.PolicyACES}
+	fs.StringVar(&o.topoFile, "topo", "", "topology JSON from aces-topo (default: generate)")
+	fs.IntVar(&o.pes, "pes", 60, "PEs when generating")
+	fs.IntVar(&o.nodes, "nodes", 10, "nodes when generating")
+	fs.Int64Var(&o.seed, "seed", 1, "generation/workload seed")
+	fs.Func("policy", "policy: aces | udp | lockstep | loadshed | aces-minflow | aces-strictcpu (default aces)", func(s string) (err error) {
+		o.pol, err = aces.ParsePolicy(s)
+		return err
+	})
+	fs.Float64Var(&o.duration, "duration", 30, "simulated seconds")
+	fs.IntVar(&o.buffer, "buffer", 0, "override per-PE buffer size B (0 = keep)")
+	fs.Float64Var(&o.lambdaS, "lambda-s", 0, "override burstiness λ_S (0 = keep)")
+	fs.IntVar(&o.iters, "iters", 800, "tier-1 iterations when targets are not provided")
+	fs.BoolVar(&o.json, "json", false, "emit the report as JSON")
+	return fs, o
+}
+
+// parseFlags parses args, so a bad command line fails before anything is
+// read or run.
+func parseFlags(args []string) (*options, error) {
+	fs, o := newFlagSet()
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	return o, nil
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
-
 	var topo *aces.Topology
 	var cpu []float64
-	if *topoFile != "" {
-		topo, cpu, err = graph.ReadFile(*topoFile)
+	if o.topoFile != "" {
+		topo, cpu, err = graph.ReadFile(o.topoFile)
 		if err != nil {
 			return err
 		}
 	} else {
-		topo, err = aces.Generate(aces.DefaultGenConfig(*pes, *nodes, *seed))
+		topo, err = aces.Generate(aces.DefaultGenConfig(o.pes, o.nodes, o.seed))
 		if err != nil {
 			return err
 		}
 	}
-	if *buffer > 0 {
-		topo.DefaultBufferSize = *buffer
+	if o.buffer > 0 {
+		topo.DefaultBufferSize = o.buffer
 	}
-	if *lambdaS > 0 {
+	if o.lambdaS > 0 {
 		for i := range topo.PEs {
-			topo.PEs[i].Service.LambdaS = *lambdaS
+			topo.PEs[i].Service.LambdaS = o.lambdaS
 		}
 	}
 	if cpu == nil {
 		alloc, err := aces.Optimize(topo, aces.OptimizeConfig{
-			MaxIters: *iters, Utility: aces.LinearUtility{}, MinShare: 0.02,
+			MaxIters: o.iters, Utility: aces.LinearUtility{}, MinShare: 0.02,
 		})
 		if err != nil {
 			return err
@@ -83,18 +108,17 @@ func run(args []string) error {
 	}
 
 	rep, err := aces.Simulate(aces.SimConfig{
-		Topo: topo, Policy: pol, CPU: cpu, Duration: *duration, Seed: *seed,
-		LinkCapacity: *linkCap, NetDelay: *netDelay,
+		Topo: topo, Policy: o.pol, CPU: cpu, Duration: o.duration, Seed: o.seed,
 	})
 	if err != nil {
 		return err
 	}
-	if *jsonOut {
+	if o.json {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
-	fmt.Printf("policy              %s\n", pol)
+	fmt.Printf("policy              %s\n", o.pol)
 	fmt.Printf("weighted throughput %.2f /s\n", rep.WeightedThroughput)
 	fmt.Printf("deliveries          %d\n", rep.Deliveries)
 	fmt.Printf("latency mean ± σ    %.1f ± %.1f ms (p50 %.1f, p95 %.1f, p99 %.1f)\n",

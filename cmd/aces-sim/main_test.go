@@ -2,11 +2,13 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"aces"
+	"aces/internal/doccmd"
 	"aces/internal/graph"
 )
 
@@ -64,5 +66,31 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-topo", bad}); err == nil {
 		t.Errorf("empty topo document accepted")
+	}
+}
+
+// The flags are what a recipe, a CI step or a test passes; the rest of
+// SimConfig stays a library option.
+func TestFlagCount(t *testing.T) {
+	fs, _ := newFlagSet()
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n > 10 {
+		t.Errorf("aces-sim registers %d flags, want at most 10", n)
+	}
+}
+
+// Every aces-sim command line the docs and the package doc show passes
+// parseFlags, and every inline span names only real flags.
+func TestDocsNameRealCommands(t *testing.T) {
+	fs, _ := newFlagSet()
+	problems, err := doccmd.Check("aces-sim",
+		[]string{"main.go", "../../README.md", "../../.claude/skills/verify/SKILL.md"},
+		fs, func(args []string) error { _, err := parseFlags(args); return err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }

@@ -23,11 +23,11 @@
 //
 //	aces-spc -mode local -pes 60 -nodes 10 -retarget-every 2 -duration 30
 //
-// With -elastic the loop also picks per-PE replica counts from the
-// calibrated model (PEs need replica slots: max_replicas in the topology,
-// or grant them everywhere with -replicas-max):
+// When the topology declares replica slots (max_replicas, or
+// -replicas-max granting them everywhere) the loop also picks per-PE
+// replica counts from the calibrated model:
 //
-//	aces-spc -mode local -retarget-every 2 -elastic -replicas-max 3
+//	aces-spc -mode local -retarget-every 2 -replicas-max 3
 //
 // The control plane itself can be made fault tolerant: -standby-rank
 // arms a partition as a ranked standby controller that claims the next
@@ -79,7 +79,6 @@ type options struct {
 	debugAddr, traceOut      string
 	traceEvery               int
 	rtEvery, safetyAfter     float64
-	elastic                  bool
 	replicasMax, standbyRank int
 }
 
@@ -116,8 +115,7 @@ func newFlagSet() (*flag.FlagSet, *options) {
 	fs.IntVar(&o.traceEvery, "trace-every", 0, "trace 1-in-N ingress SDOs (0 = off unless -debug-addr/-trace-out, then 64)")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write retained spans as JSONL to this file at exit")
 	fs.Float64Var(&o.rtEvery, "retarget-every", 0, "re-solve tier-1 targets from calibrated rate models every this many virtual seconds (0 = off)")
-	fs.BoolVar(&o.elastic, "elastic", false, "let the adaptive loop also choose per-PE replica counts (needs -retarget-every and replica slots from the topology or -replicas-max)")
-	fs.IntVar(&o.replicasMax, "replicas-max", 0, "give every non-join PE this many replica slots, overriding the topology's max_replicas (unpinned slots place round-robin across nodes; 0 = as declared)")
+	fs.IntVar(&o.replicasMax, "replicas-max", 0, "give every non-join PE this many replica slots, overriding the topology's max_replicas; with -retarget-every the loop picks how many are active (unpinned slots place round-robin across nodes; 0 = as declared)")
 	fs.IntVar(&o.standbyRank, "standby-rank", -1, "arm this process as a ranked standby controller: after 4×retarget-every of target silence (staggered by rank) it claims the next term and resumes the adaptive loop (needs -retarget-every; -1 = off)")
 	fs.Float64Var(&o.safetyAfter, "safety-after", 0, "stale-target safety mode: with no fresh target epoch for this many virtual seconds, blend targets a bounded step per tick toward the declared-model allocation (0 = off)")
 	return fs, o
@@ -132,9 +130,6 @@ func parseFlags(args []string) (*options, error) {
 	}
 	if fs.NArg() > 0 {
 		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
-	}
-	if o.elastic && o.rtEvery <= 0 {
-		return nil, fmt.Errorf("-elastic needs the adaptive loop: set -retarget-every")
 	}
 	if o.standbyRank >= 0 && o.rtEvery <= 0 {
 		return nil, fmt.Errorf("-standby-rank needs the adaptive loop: set -retarget-every")
@@ -181,27 +176,23 @@ func (o *options) applyReplicas(topo *aces.Topology) {
 	}
 }
 
-// startControl arms the adaptive loop (plain or elastic): the active
-// controller by default, or a ranked standby (silence-watching,
-// term-claiming) when -standby-rank is set — the standby only starts
-// retargeting after a successful claim. Every partition of a node-mode
-// deployment may run the loop: it calibrates local PEs only, epoch
-// ordering keeps concurrent re-solves consistent, and new epochs ride the
-// uplink with the heartbeats.
+// startControl arms the adaptive loop: the active controller by default,
+// or a ranked standby (silence-watching, term-claiming) when
+// -standby-rank is set — the standby only starts retargeting after a
+// successful claim. Every partition of a node-mode deployment may run
+// the loop: it calibrates local PEs only, epoch ordering keeps concurrent
+// re-solves consistent, and new epochs ride the uplink with the
+// heartbeats.
 func (o *options) startControl(cl *aces.Cluster) error {
 	if o.rtEvery <= 0 {
 		return nil
 	}
-	rt := aces.RetargetConfig{Every: o.rtEvery, Elastic: o.elastic}
+	rt := aces.RetargetConfig{Every: o.rtEvery}
 	if o.standbyRank < 0 {
 		if err := cl.StartRetarget(rt); err != nil {
 			return err
 		}
-		what := "re-solving calibrated targets"
-		if o.elastic {
-			what = "elastic re-solve (targets + replica counts)"
-		}
-		fmt.Printf("adaptive loop on: %s every %gs virtual\n", what, o.rtEvery)
+		fmt.Printf("adaptive loop on: re-solving calibrated targets every %gs virtual\n", o.rtEvery)
 		return nil
 	}
 	// The incumbent emits a target frame every period even when a
@@ -233,7 +224,7 @@ func (o *options) reportControl(rep aces.Report) {
 	if rep.FencedFrames > 0 {
 		fmt.Printf("fenced frames       %d (deposed-term targets rejected)\n", rep.FencedFrames)
 	}
-	if !o.elastic && o.replicasMax <= 0 {
+	if o.replicasMax <= 0 && rep.ActiveReplicas <= 1 {
 		return
 	}
 	grant := "as declared"

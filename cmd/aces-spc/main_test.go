@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -110,8 +109,8 @@ func TestFlagCount(t *testing.T) {
 	fs, _ := newFlagSet()
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	if n > 20 {
-		t.Errorf("aces-spc registers %d flags, want at most 20", n)
+	if n > 18 {
+		t.Errorf("aces-spc registers %d flags, want at most 18", n)
 	}
 }
 
@@ -122,34 +121,13 @@ func TestFlagCount(t *testing.T) {
 // is not checked.
 func TestDocsNameRealCommands(t *testing.T) {
 	fs, _ := newFlagSet()
-	var cmds []doccmd.Command
-	for _, doc := range []string{"main.go", "../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md", "../../.claude/skills/verify/SKILL.md"} {
-		c, err := doccmd.Scan(doc, "aces-spc")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(c) == 0 {
-			t.Errorf("%s: no aces-spc command found; the scanner or the doc changed", doc)
-		}
-		cmds = append(cmds, c...)
+	problems, err := doccmd.Check("aces-spc",
+		[]string{"main.go", "../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md", "../../.claude/skills/verify/SKILL.md"},
+		fs, func(args []string) error { _, err := parseFlags(args); return err })
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cmds {
-		if c.Block {
-			if _, err := parseFlags(c.Args); err != nil {
-				t.Errorf("%s: aces-spc %s: %v", c.At, strings.Join(c.Args, " "), err)
-			}
-			continue
-		}
-		for _, a := range c.Args {
-			name, ok := strings.CutPrefix(a, "-")
-			name, _, _ = strings.Cut(strings.TrimPrefix(name, "-"), "=")
-			// Skip values, including negative numbers such as -1.
-			if !ok || name == "" || (name[0] >= '0' && name[0] <= '9') {
-				continue
-			}
-			if fs.Lookup(name) == nil {
-				t.Errorf("%s: aces-spc has no flag -%s", c.At, name)
-			}
-		}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }

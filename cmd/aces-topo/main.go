@@ -27,30 +27,54 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// options is a parsed aces-topo command line.
+type options struct {
+	pes, nodes, buffer, iters, regions int
+	seed                               int64
+	lambdaS                            float64
+	solve                              bool
+	out, dotOut, validate              string
+}
+
+// newFlagSet registers every aces-topo flag, each bound to a field of the
+// returned options.
+func newFlagSet() (*flag.FlagSet, *options) {
 	fs := flag.NewFlagSet("aces-topo", flag.ContinueOnError)
-	var (
-		pes      = fs.Int("pes", 60, "total number of PEs")
-		nodes    = fs.Int("nodes", 10, "number of processing nodes")
-		ingress  = fs.Int("ingress", 0, "ingress PEs (0 = ~15%)")
-		egress   = fs.Int("egress", 0, "egress PEs (0 = ~15%)")
-		seed     = fs.Int64("seed", 1, "generation seed")
-		load     = fs.Float64("load", 1.3, "source load factor × fluid capacity")
-		buffer   = fs.Int("buffer", 50, "per-PE input buffer B in SDOs")
-		lambdaS  = fs.Float64("lambda-s", 10, "burstiness dwell scale λ_S")
-		solve    = fs.Bool("solve", false, "attach tier-1 CPU targets")
-		iters    = fs.Int("iters", 1500, "tier-1 solver iterations (with -solve)")
-		regions  = fs.Int("regions", 0, "decompose into this many control regions; -dot then renders the decomposition with cut edges highlighted")
-		out      = fs.String("o", "", "output file (default stdout)")
-		dotOut   = fs.String("dot", "", "also write a Graphviz rendering to this file")
-		validate = fs.String("validate", "", "validate an existing topology JSON instead of generating")
-	)
+	o := &options{}
+	fs.IntVar(&o.pes, "pes", 60, "total number of PEs")
+	fs.IntVar(&o.nodes, "nodes", 10, "number of processing nodes")
+	fs.Int64Var(&o.seed, "seed", 1, "generation seed")
+	fs.IntVar(&o.buffer, "buffer", 50, "per-PE input buffer B in SDOs")
+	fs.Float64Var(&o.lambdaS, "lambda-s", 10, "burstiness dwell scale λ_S")
+	fs.BoolVar(&o.solve, "solve", false, "attach tier-1 CPU targets")
+	fs.IntVar(&o.iters, "iters", 1500, "tier-1 solver iterations (with -solve)")
+	fs.IntVar(&o.regions, "regions", 0, "decompose into this many control regions; -dot then renders the decomposition with cut edges highlighted")
+	fs.StringVar(&o.out, "o", "", "output file (default stdout)")
+	fs.StringVar(&o.dotOut, "dot", "", "also write a Graphviz rendering to this file")
+	fs.StringVar(&o.validate, "validate", "", "validate an existing topology JSON instead of generating")
+	return fs, o
+}
+
+// parseFlags parses args, so a bad command line fails before anything is
+// read, generated or written.
+func parseFlags(args []string) (*options, error) {
+	fs, o := newFlagSet()
 	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	return o, nil
+}
+
+func run(args []string) error {
+	o, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-
-	if *validate != "" {
-		topo, _, err := graph.ReadFile(*validate)
+	if o.validate != "" {
+		topo, _, err := graph.ReadFile(o.validate)
 		if err != nil {
 			return err
 		}
@@ -66,20 +90,17 @@ func run(args []string) error {
 		return nil
 	}
 
-	cfg := aces.DefaultGenConfig(*pes, *nodes, *seed)
-	cfg.NumIngress = *ingress
-	cfg.NumEgress = *egress
-	cfg.LoadFactor = *load
-	cfg.BufferSize = *buffer
-	cfg.Service.LambdaS = *lambdaS
+	cfg := aces.DefaultGenConfig(o.pes, o.nodes, o.seed)
+	cfg.BufferSize = o.buffer
+	cfg.Service.LambdaS = o.lambdaS
 	topo, err := aces.Generate(cfg)
 	if err != nil {
 		return err
 	}
 
 	var dec *hier.Decomposition
-	if *regions > 0 {
-		dec, err = hier.Partition(topo, hier.PartitionConfig{Regions: *regions})
+	if o.regions > 0 {
+		dec, err = hier.Partition(topo, hier.PartitionConfig{Regions: o.regions})
 		if err != nil {
 			return err
 		}
@@ -90,9 +111,9 @@ func run(args []string) error {
 		}
 	}
 
-	if *dotOut != "" {
-		title := fmt.Sprintf("%d PEs / %d nodes (seed %d)", topo.NumPEs(), topo.NumNodes, *seed)
-		err := create(*dotOut, func(w io.Writer) error {
+	if o.dotOut != "" {
+		title := fmt.Sprintf("%d PEs / %d nodes (seed %d)", topo.NumPEs(), topo.NumNodes, o.seed)
+		err := create(o.dotOut, func(w io.Writer) error {
 			if dec == nil {
 				return topo.WriteDOT(w, title)
 			}
@@ -104,9 +125,9 @@ func run(args []string) error {
 	}
 
 	var cpu []float64
-	if *solve {
+	if o.solve {
 		alloc, err := aces.Optimize(topo, aces.OptimizeConfig{
-			MaxIters: *iters, Utility: aces.LinearUtility{}, MinShare: 0.02,
+			MaxIters: o.iters, Utility: aces.LinearUtility{}, MinShare: 0.02,
 		})
 		if err != nil {
 			return err
@@ -117,10 +138,10 @@ func run(args []string) error {
 	}
 
 	write := func(w io.Writer) error { return graph.Write(w, topo, cpu) }
-	if *out == "" {
+	if o.out == "" {
 		return write(os.Stdout)
 	}
-	return create(*out, write)
+	return create(o.out, write)
 }
 
 // create writes the file at path with write.

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"aces/internal/doccmd"
 	"aces/internal/graph"
 )
 
@@ -64,5 +66,31 @@ func TestValidateRejectsGarbage(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-pes", "1", "-nodes", "1"}); err == nil {
 		t.Errorf("1-PE topology accepted")
+	}
+}
+
+// The flags are what a recipe, a CI step or a test passes; the rest of
+// GenConfig stays a library option.
+func TestFlagCount(t *testing.T) {
+	fs, _ := newFlagSet()
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n > 11 {
+		t.Errorf("aces-topo registers %d flags, want at most 11", n)
+	}
+}
+
+// Every aces-topo command line the docs and the package doc show passes
+// parseFlags, and every inline span names only real flags.
+func TestDocsNameRealCommands(t *testing.T) {
+	fs, _ := newFlagSet()
+	problems, err := doccmd.Check("aces-topo",
+		[]string{"main.go", "../../README.md", "../../DESIGN.md", "../../.claude/skills/verify/SKILL.md"},
+		fs, func(args []string) error { _, err := parseFlags(args); return err })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
 	}
 }

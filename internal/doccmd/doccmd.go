@@ -4,6 +4,7 @@
 package doccmd
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"regexp"
@@ -111,4 +112,42 @@ func Scan(path, name string) ([]Command, error) {
 	}
 	flushPara()
 	return f.cmds, nil
+}
+
+// Check holds every invocation of the command name that docs show to the
+// command's own flags: a code-block line must pass parse, cross-flag
+// rules included, and an inline code span must name only flags fs
+// defines. It returns one problem per bad invocation, and one per
+// document that shows none (the scanner or the document changed).
+func Check(name string, docs []string, fs *flag.FlagSet, parse func([]string) error) ([]string, error) {
+	var problems []string
+	for _, doc := range docs {
+		cmds, err := Scan(doc, name)
+		if err != nil {
+			return nil, err
+		}
+		if len(cmds) == 0 {
+			problems = append(problems, fmt.Sprintf("%s: no %s command found; the scanner or the doc changed", doc, name))
+		}
+		for _, c := range cmds {
+			if c.Block {
+				if err := parse(c.Args); err != nil {
+					problems = append(problems, fmt.Sprintf("%s: %s %s: %v", c.At, name, strings.Join(c.Args, " "), err))
+				}
+				continue
+			}
+			for _, a := range c.Args {
+				flagName, ok := strings.CutPrefix(a, "-")
+				flagName, _, _ = strings.Cut(strings.TrimPrefix(flagName, "-"), "=")
+				// Skip values, including negative numbers such as -1.
+				if !ok || flagName == "" || (flagName[0] >= '0' && flagName[0] <= '9') {
+					continue
+				}
+				if fs.Lookup(flagName) == nil {
+					problems = append(problems, fmt.Sprintf("%s: %s has no flag -%s", c.At, name, flagName))
+				}
+			}
+		}
+	}
+	return problems, nil
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"errors"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"aces/internal/sdo"
 	"aces/internal/spc"
 	"aces/internal/transport"
-	"aces/internal/workload"
 )
 
 // ChaosOptions scales E10, the failure-domain experiment: a partitioned
@@ -111,7 +109,7 @@ type ChaosRow struct {
 // crosses the boundary.
 func chaosTopo() (*graph.Topology, error) {
 	topo := graph.New(3, 50)
-	det := chaosService(0.001)
+	det := detService(0.001)
 	p0 := topo.AddPE(graph.PE{Service: det, Node: 0})
 	p1 := topo.AddPE(graph.PE{Service: det, Node: 1, Weight: 1})
 	p2 := topo.AddPE(graph.PE{Service: det, Node: 2, Weight: 1})
@@ -128,12 +126,6 @@ func chaosTopo() (*graph.Topology, error) {
 		return nil, err
 	}
 	return topo, nil
-}
-
-// chaosService is a deterministic service profile (no state switching) so
-// E10's dips are fault-caused, not workload-caused.
-func chaosService(cost float64) workload.ServiceParams {
-	return workload.ServiceParams{T0: cost, T1: cost, Rho: 0, LambdaS: 10, DwellUnit: 0.01, MeanMult: 1}
 }
 
 // RunChaos executes E10 once: build the partitioned deployment over real
@@ -184,18 +176,11 @@ func RunChaos(o ChaosOptions) (ChaosRow, error) {
 		flaky.Store(f)
 		return transport.NewConn(f), nil
 	}
-	linkOpts := transport.ResilientOptions{
-		QueueSize:    128,
-		WriteTimeout: 50 * time.Millisecond,
-		BackoffMin:   5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		BatchMax:     32,
-	}
-	linkA := spc.NewResilientLink(dialA, linkOpts)
+	linkA := spc.NewResilientLink(dialA, drillLinkOpts)
 	defer linkA.Close()
 	linkB := spc.NewResilientLink(func() (*transport.Conn, error) {
 		return lis.Accept()
-	}, linkOpts)
+	}, drillLinkOpts)
 	defer linkB.Close()
 
 	inj := spc.NewPanicInjector(spc.NewPassthrough(2))
@@ -256,17 +241,13 @@ func RunChaos(o ChaosOptions) (ChaosRow, error) {
 
 	// Sample the combined egress delivery count on process A's virtual
 	// clock and replay the schedule against it.
-	type sample struct {
-		t float64
-		n int64
-	}
-	var series []sample
+	var s series
 	runner := chaos.NewRunner(sched)
 	horizon := row.HealEnd + o.Post
 	for {
 		now := a.Now()
 		runner.Step(now, injector)
-		series = append(series, sample{t: now, n: a.DeliveredByPE()[1] + b.DeliveredByPE()[2]})
+		s = append(s, sample{t: now, n: float64(a.DeliveredByPE()[1] + b.DeliveredByPE()[2])})
 		if now >= horizon {
 			break
 		}
@@ -279,39 +260,27 @@ func RunChaos(o ChaosOptions) (ChaosRow, error) {
 	b.Stop()
 	repA := a.Report(endA)
 
-	// Windowed rates from the cumulative series.
-	rate := func(t0, t1 float64) float64 {
-		i := sort.Search(len(series), func(i int) bool { return series[i].t >= t0 })
-		j := sort.Search(len(series), func(i int) bool { return series[i].t >= t1 })
-		if j >= len(series) {
-			j = len(series) - 1
-		}
-		if i >= j || series[j].t <= series[i].t {
-			return 0
-		}
-		return float64(series[j].n-series[i].n) / (series[j].t - series[i].t)
-	}
-	row.PreRate = rate(row.FaultStart-o.Window, row.FaultStart)
+	row.PreRate = s.rate(row.FaultStart-o.Window, row.FaultStart)
 	row.DipRate = row.PreRate
-	for _, s := range series {
-		if s.t < row.FaultStart || s.t > row.HealEnd+o.Window {
+	for _, p := range s {
+		if p.t < row.FaultStart || p.t > row.HealEnd+o.Window {
 			continue
 		}
-		if r := rate(s.t, s.t+o.Window); r < row.DipRate {
+		if r := s.rate(p.t, p.t+o.Window); r < row.DipRate {
 			row.DipRate = r
 		}
 	}
 	if row.PreRate > 0 {
 		row.DipPct = 100 * (1 - row.DipRate/row.PreRate)
 	}
-	row.PostRate = rate(horizon-o.Window, horizon)
-	for _, s := range series {
-		if s.t < row.HealEnd {
+	row.PostRate = s.rate(horizon-o.Window, horizon)
+	for _, p := range s {
+		if p.t < row.HealEnd {
 			continue
 		}
-		if rate(s.t, s.t+o.Window) >= 0.9*row.PreRate {
-			row.RecoverAt = s.t
-			row.TimeToRecover = s.t - row.HealEnd
+		if s.rate(p.t, p.t+o.Window) >= 0.9*row.PreRate {
+			row.RecoverAt = p.t
+			row.TimeToRecover = p.t - row.HealEnd
 			break
 		}
 	}

@@ -1,16 +1,10 @@
 package experiments
 
 import (
-	"sort"
-	"sync"
-	"time"
-
 	"aces/internal/graph"
 	"aces/internal/optimize"
-	"aces/internal/policy"
 	"aces/internal/sdo"
 	"aces/internal/spc"
-	"aces/internal/transport"
 )
 
 // ElasticOptions scales E12, the elastic-parallelism experiment: a seeded
@@ -24,7 +18,8 @@ import (
 type ElasticOptions struct {
 	// Seed drives workloads and sources.
 	Seed int64
-	// TimeScale is the virtual-over-wall speedup (default 10).
+	// TimeScale is the virtual-over-wall speedup (default 10; 3 under the
+	// race detector).
 	TimeScale float64
 	// StepAt is when the hotspot lands, virtual seconds (default 3; must
 	// exceed the warmup of 1).
@@ -44,12 +39,7 @@ func (o *ElasticOptions) fillDefaults() {
 		o.Seed = 1
 	}
 	if o.TimeScale <= 0 {
-		o.TimeScale = 10
-		if raceEnabled {
-			// Same trade as E11: the race detector slows the process, so
-			// buy scheduler fidelity back with wall time.
-			o.TimeScale = 3
-		}
+		o.TimeScale = drillTimeScale()
 	}
 	if o.StepAt <= 1 {
 		o.StepAt = 3
@@ -89,7 +79,7 @@ type ElasticRow struct {
 	// actually fan out, not just retune the primary).
 	ActiveReplicas int `json:"active_replicas"`
 	// Epochs is the coordinator's final target epoch; PeerEpoch the peer
-	// process's (≥ 1 proves replica targets crossed the wire).
+	// process's (≥ 1 proves target matrices crossed the wire).
 	Epochs    uint64 `json:"epochs"`
 	PeerEpoch uint64 `json:"peer_epoch"`
 	// Recovered is the verdict: the elastic loop reaches ≥ 90% of the
@@ -112,12 +102,12 @@ type ElasticRow struct {
 // PE out across its replica slots can.
 func elasticTopo() (*graph.Topology, error) {
 	topo := graph.New(3, 50)
-	p0 := topo.AddPE(graph.PE{Service: retargetService(0.0001), Node: 0})
+	p0 := topo.AddPE(graph.PE{Service: detService(0.0001), Node: 0})
 	p1 := topo.AddPE(graph.PE{
-		Service: retargetService(0.0003), Node: 0,
+		Service: detService(0.0003), Node: 0,
 		MaxReplicas: 3, ReplicaNodes: []sdo.NodeID{1, 2},
 	})
-	p2 := topo.AddPE(graph.PE{Service: retargetService(0.00005), Node: 1, Weight: 4})
+	p2 := topo.AddPE(graph.PE{Service: detService(0.00005), Node: 1, Weight: 4})
 	if err := topo.Connect(p0, p1); err != nil {
 		return nil, err
 	}
@@ -128,139 +118,6 @@ func elasticTopo() (*graph.Topology, error) {
 		return nil, err
 	}
 	return topo, nil
-}
-
-// elasticRun executes one partitioned run and returns the weighted egress
-// rate sampler plus the end-of-run epochs and the peak replica count the
-// coordinator applied to the hot PE.
-func elasticRun(o ElasticOptions, topo *graph.Topology, cpu []float64, mode retargetMode, oracleRep [][]float64) (rate func(t0, t1 float64) float64, epochA, epochB uint64, peakReplicas int, err error) {
-	lis, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	defer lis.Close()
-	linkOpts := transport.ResilientOptions{
-		QueueSize:    256,
-		WriteTimeout: 50 * time.Millisecond,
-		BackoffMin:   5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		BatchMax:     32,
-	}
-	linkA := spc.NewResilientLink(func() (*transport.Conn, error) {
-		return transport.Dial(lis.Addr(), time.Second)
-	}, linkOpts)
-	defer linkA.Close()
-	linkB := spc.NewResilientLink(func() (*transport.Conn, error) {
-		return lis.Accept()
-	}, linkOpts)
-	defer linkB.Close()
-
-	// Every incarnation of the hot PE — primary and replicas, both
-	// processes — steps its cost at the same virtual instant: the hotspot
-	// is a property of the stream content, so a replica cannot dodge it.
-	base := topo.PEs[1].Service.EffectiveCost()
-	hotProc := func(stream sdo.StreamID) spc.Processor {
-		return spc.NewStepCost(stream, base, o.StepFactor*base, o.StepAt)
-	}
-	replicaProcs := func(j sdo.PEID, rep int32) spc.Processor {
-		if j != 1 {
-			return nil
-		}
-		return hotProc(sdo.StreamID(300 + int32(rep)))
-	}
-	a, err := spc.NewCluster(spc.Config{
-		Topo: topo, Policy: policy.ACES, CPU: cpu,
-		TimeScale: o.TimeScale, Warmup: 1, Seed: o.Seed,
-		LocalNodes: []sdo.NodeID{0, 1}, Uplink: linkA,
-		Processors:   map[sdo.PEID]spc.Processor{1: hotProc(300)},
-		ReplicaProcs: replicaProcs,
-	})
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	b, err := spc.NewCluster(spc.Config{
-		Topo: topo, Policy: policy.ACES, CPU: cpu,
-		TimeScale: o.TimeScale, Warmup: 1, Seed: o.Seed,
-		LocalNodes: []sdo.NodeID{2}, Uplink: linkB,
-		ReplicaProcs: replicaProcs,
-	})
-	if err != nil {
-		return nil, 0, 0, 0, err
-	}
-	var serveWG sync.WaitGroup
-	serveWG.Add(2)
-	go func() {
-		defer serveWG.Done()
-		_ = linkA.Serve(a)
-	}()
-	go func() {
-		defer serveWG.Done()
-		_ = linkB.Serve(b)
-	}()
-	if mode == modeAdaptive {
-		if err := a.StartRetarget(spc.RetargetConfig{Every: o.Every, Lambda: 0.7, MinSamples: 4, Elastic: true}); err != nil {
-			return nil, 0, 0, 0, err
-		}
-	}
-	if err := a.Start(); err != nil {
-		return nil, 0, 0, 0, err
-	}
-	if err := b.Start(); err != nil {
-		return nil, 0, 0, 0, err
-	}
-
-	type sample struct {
-		t float64
-		n float64
-	}
-	var series []sample
-	horizon := o.StepAt + o.Post
-	oracleApplied := false
-	for {
-		now := a.Now()
-		if mode == modeOracle && !oracleApplied && now >= o.StepAt {
-			if err := a.SetReplicaTargets(1, oracleRep); err != nil {
-				return nil, 0, 0, 0, err
-			}
-			oracleApplied = true
-		}
-		if oracleApplied && len(series)%20 == 0 {
-			a.BroadcastTargets()
-		}
-		if n := a.ActiveReplicas(1); n > peakReplicas {
-			peakReplicas = n
-		}
-		dA, dB := a.DeliveredByPE(), b.DeliveredByPE()
-		var w float64
-		for j := range topo.PEs {
-			w += topo.PEs[j].Weight * float64(dA[j]+dB[j])
-		}
-		series = append(series, sample{t: now, n: w})
-		if now >= horizon {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	epochA, epochB = a.TargetsEpoch(), b.TargetsEpoch()
-	a.Stop()
-	b.Stop()
-	lis.Close()
-	linkA.Close()
-	linkB.Close()
-	serveWG.Wait()
-
-	rate = func(t0, t1 float64) float64 {
-		i := sort.Search(len(series), func(i int) bool { return series[i].t >= t0 })
-		j := sort.Search(len(series), func(i int) bool { return series[i].t >= t1 })
-		if j >= len(series) {
-			j = len(series) - 1
-		}
-		if i >= j || series[j].t <= series[i].t {
-			return 0
-		}
-		return (series[j].n - series[i].n) / (series[j].t - series[i].t)
-	}
-	return rate, epochA, epochB, peakReplicas, nil
 }
 
 // RunElastic executes E12 once: deploy with the frozen (primary-only)
@@ -282,39 +139,38 @@ func RunElastic(o ElasticOptions) (ElasticRow, error) {
 	}
 	// The oracle knows the true post-hotspot cost and may use the replica
 	// slots — the bound the online loop is judged against.
-	truth := *topo
-	truth.PEs = append([]graph.PE(nil), topo.PEs...)
-	sp := truth.PEs[1].Service
-	sp.T0 *= o.StepFactor
-	sp.T1 *= o.StepFactor
-	truth.PEs[1].Service = sp
-	oracle, err := optimize.SolveElastic(&truth, optimize.Config{})
+	oracle, err := optimize.SolveElastic(withCost(topo, 1, o.StepFactor), optimize.Config{})
 	if err != nil {
 		return ElasticRow{}, err
 	}
 
-	row := ElasticRow{Seed: o.Seed, StepAt: o.StepAt}
-	frozenRate, _, _, _, err := elasticRun(o, topo, deployed.CPU, modeFrozen, nil)
-	if err != nil {
-		return row, err
-	}
-	elasticRate, epochs, peerEpoch, peak, err := elasticRun(o, topo, deployed.CPU, modeAdaptive, nil)
-	if err != nil {
-		return row, err
-	}
-	oracleRate, _, _, _, err := elasticRun(o, topo, deployed.CPU, modeOracle, oracle.Replica)
-	if err != nil {
-		return row, err
-	}
-
+	// Every incarnation of the hot PE — primary and replicas, both
+	// processes — steps its cost at the same virtual instant: the hotspot
+	// is a property of the stream content, so a replica cannot dodge it.
+	base := topo.PEs[1].Service.EffectiveCost()
 	horizon := o.StepAt + o.Post
-	row.PreRate = frozenRate(o.StepAt-o.Window, o.StepAt)
-	row.FrozenRate = frozenRate(horizon-o.Window, horizon)
-	row.ElasticRate = elasticRate(horizon-o.Window, horizon)
-	row.OracleRate = oracleRate(horizon-o.Window, horizon)
-	row.ActiveReplicas = peak
-	row.Epochs = epochs
-	row.PeerEpoch = peerEpoch
+	d := splitDrill{
+		topo: topo, cpu: deployed.CPU, seed: o.Seed,
+		timeScale: o.TimeScale, every: o.Every, stepAt: o.StepAt, horizon: horizon,
+		proc: func(j sdo.PEID, rep int32) spc.Processor {
+			if j != 1 {
+				return nil
+			}
+			return spc.NewStepCost(sdo.StreamID(300+rep), base, o.StepFactor*base, o.StepAt)
+		},
+	}
+	row := ElasticRow{Seed: o.Seed, StepAt: o.StepAt}
+	frozen, elastic, orc, err := d.runAll(oracle.Replica)
+	if err != nil {
+		return row, err
+	}
+	row.PreRate = frozen.series.rate(o.StepAt-o.Window, o.StepAt)
+	row.FrozenRate = frozen.series.rate(horizon-o.Window, horizon)
+	row.ElasticRate = elastic.series.rate(horizon-o.Window, horizon)
+	row.OracleRate = orc.series.rate(horizon-o.Window, horizon)
+	row.ActiveReplicas = elastic.peak
+	row.Epochs = elastic.epochA
+	row.PeerEpoch = elastic.epochB
 	if row.OracleRate > 0 {
 		row.ElasticFrac = row.ElasticRate / row.OracleRate
 		row.FrozenFrac = row.FrozenRate / row.OracleRate

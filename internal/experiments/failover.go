@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,10 +56,7 @@ func (o *FailoverOptions) fillDefaults() {
 		o.Seed = 1
 	}
 	if o.TimeScale <= 0 {
-		o.TimeScale = 10
-		if raceEnabled {
-			o.TimeScale = 3
-		}
+		o.TimeScale = drillTimeScale()
 	}
 	if o.KillAt <= 1 {
 		o.KillAt = 4
@@ -124,10 +120,6 @@ type FailoverRow struct {
 	Recovered bool `json:"recovered"`
 }
 
-// floatBits/floatFromBits round-trip a float64 through an atomic.Uint64.
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(u uint64) float64 { return math.Float64frombits(u) }
-
 // failoverOutcome carries one run's control-plane telemetry out of the
 // harness.
 type failoverOutcome struct {
@@ -143,8 +135,8 @@ type failoverOutcome struct {
 // horizon. With kill=false process B closes the adaptive loop from the
 // start (the baseline); with kill=true process A is the controller, B a
 // rank-0 standby, and a seeded chaos script kills A at KillAt.
-func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bool) (rate func(t0, t1 float64) float64, out failoverOutcome, err error) {
-	fail := func(e error) (func(t0, t1 float64) float64, failoverOutcome, error) {
+func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bool) (s series, out failoverOutcome, err error) {
+	fail := func(e error) (series, failoverOutcome, error) {
 		return nil, failoverOutcome{}, e
 	}
 	// One listener per process pair; the dial side never owns a listener
@@ -164,21 +156,14 @@ func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bo
 		return fail(err)
 	}
 	defer lisBC.Close()
-	linkOpts := transport.ResilientOptions{
-		QueueSize:    256,
-		WriteTimeout: 50 * time.Millisecond,
-		BackoffMin:   5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		BatchMax:     32,
-	}
 	accept := func(l *transport.Listener) *spc.ResilientLink {
-		return spc.NewResilientLink(func() (*transport.Conn, error) { return l.Accept() }, linkOpts)
+		return spc.NewResilientLink(func() (*transport.Conn, error) { return l.Accept() }, drillLinkOpts)
 	}
 	dialTo := func(l *transport.Listener) *spc.ResilientLink {
 		addr := l.Addr()
 		return spc.NewResilientLink(func() (*transport.Conn, error) {
 			return transport.Dial(addr, time.Second)
-		}, linkOpts)
+		}, drillLinkOpts)
 	}
 	linkAB := accept(lisAB) // A ↔ B, A side
 	linkAC := accept(lisAC) // A ↔ C, A side
@@ -268,8 +253,8 @@ func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bo
 			OnClaim: func(term uint64) {
 				now := b.Now()
 				claimTerm.Store(term)
-				claimAt.Store(floatBits(now))
-				missed.Store(floatBits((now - b.LastControllerFrame()) / o.Every))
+				claimAt.Store(math.Float64bits(now))
+				missed.Store(math.Float64bits((now - b.LastControllerFrame()) / o.Every))
 			},
 		}); err != nil {
 			return fail(err)
@@ -308,12 +293,8 @@ func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bo
 	injector := chaos.FuncInjector{OnKillProcess: killA}
 
 	// Sample the weighted cumulative egress of the SURVIVING processes'
-	// PEs (node 1) on B's virtual clock.
-	type sample struct {
-		t float64
-		n float64
-	}
-	var series []sample
+	// PEs on B's virtual clock: B hosts node 1 only, so its deliveries are
+	// exactly those PEs'.
 	horizon := o.StepAt + o.Post
 	zombieSent := false
 	for {
@@ -326,18 +307,11 @@ func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bo
 		// takeover epoch into both survivors. Lexicographic fencing must
 		// reject them; epoch ordering alone would not.
 		if kill && !zombieSent && claimTerm.Load() > 0 {
-			b.InjectTermTargets(0, 1<<20, cpu)
-			c.InjectTermTargets(0, 1<<20, cpu)
+			b.InjectTermTargets(0, 1<<20, column(cpu))
+			c.InjectTermTargets(0, 1<<20, column(cpu))
 			zombieSent = true
 		}
-		d := b.DeliveredByPE()
-		var w float64
-		for j := range topo.PEs {
-			if topo.PEs[j].Node == 1 {
-				w += topo.PEs[j].Weight * float64(d[j])
-			}
-		}
-		series = append(series, sample{t: now, n: w})
+		s = append(s, sample{t: now, n: weighted(topo, b.DeliveredByPE())})
 		if now >= horizon {
 			break
 		}
@@ -347,8 +321,8 @@ func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bo
 	out = failoverOutcome{
 		tookOver:     claimTerm.Load() > 0,
 		claimTerm:    claimTerm.Load(),
-		claimAt:      floatFromBits(claimAt.Load()),
-		missedEpochs: floatFromBits(missed.Load()),
+		claimAt:      math.Float64frombits(claimAt.Load()),
+		missedEpochs: math.Float64frombits(missed.Load()),
 		leafTerm:     c.TargetsTerm(),
 		fenced:       b.FencedFrames() + c.FencedFrames(),
 	}
@@ -364,19 +338,7 @@ func failoverRun(o FailoverOptions, topo *graph.Topology, cpu []float64, kill bo
 		l.Close()
 	}
 	serveWG.Wait()
-
-	rate = func(t0, t1 float64) float64 {
-		i := sort.Search(len(series), func(i int) bool { return series[i].t >= t0 })
-		j := sort.Search(len(series), func(i int) bool { return series[i].t >= t1 })
-		if j >= len(series) {
-			j = len(series) - 1
-		}
-		if i >= j || series[j].t <= series[i].t {
-			return 0
-		}
-		return (series[j].n - series[i].n) / (series[j].t - series[i].t)
-	}
-	return rate, out, nil
+	return s, out, nil
 }
 
 // RunFailover executes E14 once: deploy the three-process chain with
@@ -398,18 +360,18 @@ func RunFailover(o FailoverOptions) (FailoverRow, error) {
 	}
 
 	row := FailoverRow{Seed: o.Seed, KillAt: o.KillAt, StepAt: o.StepAt}
-	baseRate, _, err := failoverRun(o, topo, deployed.CPU, false)
+	base, _, err := failoverRun(o, topo, deployed.CPU, false)
 	if err != nil {
 		return row, err
 	}
-	failRate, out, err := failoverRun(o, topo, deployed.CPU, true)
+	failed, out, err := failoverRun(o, topo, deployed.CPU, true)
 	if err != nil {
 		return row, err
 	}
 
 	horizon := o.StepAt + o.Post
-	row.BaselineRate = baseRate(horizon-o.Window, horizon)
-	row.FailoverRate = failRate(horizon-o.Window, horizon)
+	row.BaselineRate = base.rate(horizon-o.Window, horizon)
+	row.FailoverRate = failed.rate(horizon-o.Window, horizon)
 	if row.BaselineRate > 0 {
 		row.FailoverFrac = row.FailoverRate / row.BaselineRate
 	}

@@ -1,17 +1,10 @@
 package experiments
 
 import (
-	"sort"
-	"sync"
-	"time"
-
 	"aces/internal/graph"
 	"aces/internal/optimize"
-	"aces/internal/policy"
 	"aces/internal/sdo"
 	"aces/internal/spc"
-	"aces/internal/transport"
-	"aces/internal/workload"
 )
 
 // RetargetOptions scales E11, the adaptive-loop experiment: a partitioned
@@ -24,7 +17,8 @@ import (
 type RetargetOptions struct {
 	// Seed drives workloads and sources.
 	Seed int64
-	// TimeScale is the virtual-over-wall speedup (default 10).
+	// TimeScale is the virtual-over-wall speedup (default 10; 3 under the
+	// race detector).
 	TimeScale float64
 	// StepAt is when the cost step lands, virtual seconds (default 6;
 	// must exceed the warmup of 1).
@@ -45,13 +39,7 @@ func (o *RetargetOptions) fillDefaults() {
 		o.Seed = 1
 	}
 	if o.TimeScale <= 0 {
-		o.TimeScale = 10
-		if raceEnabled {
-			// The race detector slows the process severalfold; at 10×
-			// the schedulers slip enough to starve the adaptive run's
-			// calibration. Trade wall time back for fidelity.
-			o.TimeScale = 3
-		}
+		o.TimeScale = drillTimeScale()
 	}
 	if o.StepAt <= 1 {
 		o.StepAt = 6
@@ -98,12 +86,6 @@ type RetargetRow struct {
 	Recovered bool `json:"recovered"`
 }
 
-// retargetService is a deterministic service profile: E11's drift is the
-// seeded cost step, not workload state-switching.
-func retargetService(cost float64) workload.ServiceParams {
-	return workload.ServiceParams{T0: cost, T1: cost, Rho: 0, LambdaS: 10, DwellUnit: 0.01, MeanMult: 1}
-}
-
 // retargetTopo is the E11 deployment. Process A hosts nodes {0, 1},
 // process B node {2}; one resilient uplink pair crosses the boundary.
 //
@@ -119,10 +101,10 @@ func retargetService(cost float64) workload.ServiceParams {
 // its demand while PE2 wastes cheap cycles on weight-1 traffic.
 func retargetTopo() (*graph.Topology, error) {
 	topo := graph.New(3, 50)
-	p0 := topo.AddPE(graph.PE{Service: retargetService(0.001), Node: 0})
-	p1 := topo.AddPE(graph.PE{Service: retargetService(0.002), Node: 1, Weight: 8})
-	p2 := topo.AddPE(graph.PE{Service: retargetService(0.002), Node: 1, Weight: 1})
-	p3 := topo.AddPE(graph.PE{Service: retargetService(0.002), Node: 2, Weight: 1})
+	p0 := topo.AddPE(graph.PE{Service: detService(0.001), Node: 0})
+	p1 := topo.AddPE(graph.PE{Service: detService(0.002), Node: 1, Weight: 8})
+	p2 := topo.AddPE(graph.PE{Service: detService(0.002), Node: 1, Weight: 1})
+	p3 := topo.AddPE(graph.PE{Service: detService(0.002), Node: 2, Weight: 1})
 	if err := topo.Connect(p0, p3); err != nil {
 		return nil, err
 	}
@@ -136,137 +118,6 @@ func retargetTopo() (*graph.Topology, error) {
 		}
 	}
 	return topo, nil
-}
-
-// retargetMode selects what closes (or doesn't close) the adaptive loop
-// in one E11 run.
-type retargetMode int
-
-const (
-	modeFrozen retargetMode = iota
-	modeAdaptive
-	modeOracle
-)
-
-// retargetRun executes one partitioned run and returns the weighted
-// egress rate series sampler plus the end-of-run epochs of both
-// processes.
-func retargetRun(o RetargetOptions, topo *graph.Topology, cpu []float64, mode retargetMode, oracleCPU []float64) (rate func(t0, t1 float64) float64, epochA, epochB uint64, err error) {
-	lis, err := transport.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	defer lis.Close()
-	linkOpts := transport.ResilientOptions{
-		QueueSize:    256,
-		WriteTimeout: 50 * time.Millisecond,
-		BackoffMin:   5 * time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		BatchMax:     32,
-	}
-	linkA := spc.NewResilientLink(func() (*transport.Conn, error) {
-		return transport.Dial(lis.Addr(), time.Second)
-	}, linkOpts)
-	defer linkA.Close()
-	linkB := spc.NewResilientLink(func() (*transport.Conn, error) {
-		return lis.Accept()
-	}, linkOpts)
-	defer linkB.Close()
-
-	stepped := topo.PEs[1].Service.EffectiveCost()
-	a, err := spc.NewCluster(spc.Config{
-		Topo: topo, Policy: policy.ACES, CPU: cpu,
-		TimeScale: o.TimeScale, Warmup: 1, Seed: o.Seed,
-		LocalNodes: []sdo.NodeID{0, 1}, Uplink: linkA,
-		Processors: map[sdo.PEID]spc.Processor{
-			1: spc.NewStepCost(201, stepped, o.StepFactor*stepped, o.StepAt),
-		},
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	b, err := spc.NewCluster(spc.Config{
-		Topo: topo, Policy: policy.ACES, CPU: cpu,
-		TimeScale: o.TimeScale, Warmup: 1, Seed: o.Seed,
-		LocalNodes: []sdo.NodeID{2}, Uplink: linkB,
-	})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	var serveWG sync.WaitGroup
-	serveWG.Add(2)
-	go func() {
-		defer serveWG.Done()
-		_ = linkA.Serve(a)
-	}()
-	go func() {
-		defer serveWG.Done()
-		_ = linkB.Serve(b)
-	}()
-	if mode == modeAdaptive {
-		if err := a.StartRetarget(spc.RetargetConfig{Every: o.Every, Lambda: 0.7, MinSamples: 4}); err != nil {
-			return nil, 0, 0, err
-		}
-	}
-	if err := a.Start(); err != nil {
-		return nil, 0, 0, err
-	}
-	if err := b.Start(); err != nil {
-		return nil, 0, 0, err
-	}
-
-	// Sample the weighted cumulative egress count on A's virtual clock.
-	type sample struct {
-		t float64
-		n float64
-	}
-	var series []sample
-	horizon := o.StepAt + o.Post
-	oracleApplied := false
-	for {
-		now := a.Now()
-		if mode == modeOracle && !oracleApplied && now >= o.StepAt {
-			if err := a.SetTargets(1, oracleCPU); err != nil {
-				return nil, 0, 0, err
-			}
-			oracleApplied = true
-		}
-		if oracleApplied && len(series)%20 == 0 {
-			// Epoch-idempotent repair in case the dissemination raced the
-			// link; the adaptive mode's loop re-broadcasts on its own.
-			a.BroadcastTargets()
-		}
-		dA, dB := a.DeliveredByPE(), b.DeliveredByPE()
-		var w float64
-		for j := range topo.PEs {
-			w += topo.PEs[j].Weight * float64(dA[j]+dB[j])
-		}
-		series = append(series, sample{t: now, n: w})
-		if now >= horizon {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	epochA, epochB = a.TargetsEpoch(), b.TargetsEpoch()
-	a.Stop()
-	b.Stop()
-	lis.Close()
-	linkA.Close()
-	linkB.Close()
-	serveWG.Wait()
-
-	rate = func(t0, t1 float64) float64 {
-		i := sort.Search(len(series), func(i int) bool { return series[i].t >= t0 })
-		j := sort.Search(len(series), func(i int) bool { return series[i].t >= t1 })
-		if j >= len(series) {
-			j = len(series) - 1
-		}
-		if i >= j || series[j].t <= series[i].t {
-			return 0
-		}
-		return (series[j].n - series[i].n) / (series[j].t - series[i].t)
-	}
-	return rate, epochA, epochB, nil
 }
 
 // RunRetarget executes E11 once: deploy the partitioned topology with
@@ -287,38 +138,34 @@ func RunRetarget(o RetargetOptions) (RetargetRow, error) {
 	}
 	// The oracle re-solve knows the true post-step cost — the upper bound
 	// the online loop is judged against.
-	truth := *topo
-	truth.PEs = append([]graph.PE(nil), topo.PEs...)
-	sp := truth.PEs[1].Service
-	sp.T0 *= o.StepFactor
-	sp.T1 *= o.StepFactor
-	truth.PEs[1].Service = sp
-	oracle, err := optimize.Solve(&truth, optimize.Config{WarmStart: deployed.CPU})
+	oracle, err := optimize.Solve(withCost(topo, 1, o.StepFactor), optimize.Config{WarmStart: deployed.CPU})
 	if err != nil {
 		return RetargetRow{}, err
 	}
 
-	row := RetargetRow{Seed: o.Seed, StepAt: o.StepAt}
-	frozenRate, _, _, err := retargetRun(o, topo, deployed.CPU, modeFrozen, nil)
-	if err != nil {
-		return row, err
-	}
-	adaptiveRate, epochs, peerEpoch, err := retargetRun(o, topo, deployed.CPU, modeAdaptive, nil)
-	if err != nil {
-		return row, err
-	}
-	oracleRate, _, _, err := retargetRun(o, topo, deployed.CPU, modeOracle, oracle.CPU)
-	if err != nil {
-		return row, err
-	}
-
+	stepped := topo.PEs[1].Service.EffectiveCost()
 	horizon := o.StepAt + o.Post
-	row.PreRate = frozenRate(o.StepAt-o.Window, o.StepAt)
-	row.FrozenRate = frozenRate(horizon-o.Window, horizon)
-	row.AdaptiveRate = adaptiveRate(horizon-o.Window, horizon)
-	row.OracleRate = oracleRate(horizon-o.Window, horizon)
-	row.Epochs = epochs
-	row.PeerEpoch = peerEpoch
+	d := splitDrill{
+		topo: topo, cpu: deployed.CPU, seed: o.Seed,
+		timeScale: o.TimeScale, every: o.Every, stepAt: o.StepAt, horizon: horizon,
+		proc: func(j sdo.PEID, _ int32) spc.Processor {
+			if j != 1 {
+				return nil
+			}
+			return spc.NewStepCost(201, stepped, o.StepFactor*stepped, o.StepAt)
+		},
+	}
+	row := RetargetRow{Seed: o.Seed, StepAt: o.StepAt}
+	frozen, adaptive, orc, err := d.runAll(column(oracle.CPU))
+	if err != nil {
+		return row, err
+	}
+	row.PreRate = frozen.series.rate(o.StepAt-o.Window, o.StepAt)
+	row.FrozenRate = frozen.series.rate(horizon-o.Window, horizon)
+	row.AdaptiveRate = adaptive.series.rate(horizon-o.Window, horizon)
+	row.OracleRate = orc.series.rate(horizon-o.Window, horizon)
+	row.Epochs = adaptive.epochA
+	row.PeerEpoch = adaptive.epochB
 	if row.OracleRate > 0 {
 		row.AdaptiveFrac = row.AdaptiveRate / row.OracleRate
 		row.FrozenFrac = row.FrozenRate / row.OracleRate

@@ -149,11 +149,6 @@ type Report struct {
 	// SolveMillis is the wall time of the most recent tier-1 re-solve on
 	// this process (0 when no retarget loop ran).
 	SolveMillis float64 `json:"solve_ms,omitempty"`
-	// ColdSolves counts adaptive-loop re-solves that fell back to a cold
-	// start because their warm start was missing or wrong-shaped (e.g.
-	// stale after a topology change) — each one pays a full ascent
-	// against the epoch deadline.
-	ColdSolves int64 `json:"cold_solves,omitempty"`
 	// TargetFramesSent counts target frames this process relayed to its
 	// dissemination-tree children (0 for flat deployments).
 	TargetFramesSent int64 `json:"target_frames_sent,omitempty"`
@@ -191,9 +186,9 @@ type LinkStats struct {
 	// or write failure); data-frame drops also appear as in-flight loss.
 	FramesDropped int64 `json:"frames_dropped"`
 	// ControlDropped counts control frames (feedback, heartbeats, targets,
-	// replica targets, acks) among FramesDropped. Control frames ride a
-	// reserved lane, so this should stay 0 under pure data floods; nonzero
-	// means the control plane itself is saturating or the link is down.
+	// acks) among FramesDropped. Control frames ride a reserved lane, so
+	// this should stay 0 under pure data floods; nonzero means the control
+	// plane itself is saturating or the link is down.
 	ControlDropped int64 `json:"control_frames_dropped,omitempty"`
 	// Reconnects counts link re-establishments after the first connect.
 	Reconnects int64 `json:"reconnects"`

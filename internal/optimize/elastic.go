@@ -40,9 +40,8 @@ type ElasticAllocation struct {
 	Evals int
 	// ColdStart reports that the solver started from the demand-
 	// proportional cold point: no WarmStartReplica was supplied, or its
-	// shape did not match the topology's replica placement (the silent
-	// fallback the retarget loop surfaces through the
-	// retarget_cold_solves_total counter).
+	// shape did not match the topology's replica placement (a silent
+	// fallback: the retarget loop's warm start always has that shape).
 	ColdStart bool
 	// SolveMillis is the wall-clock solve time in milliseconds.
 	SolveMillis float64

@@ -461,8 +461,8 @@ func TestSolveElasticObjectiveMatchesRepropagation(t *testing.T) {
 
 // TestColdStartFlag covers the silent-fallback satellite: a missing or
 // wrong-shaped warm start must be SURFACED via the ColdStart flag (the
-// retarget loop turns it into retarget_cold_solves_total), and a correctly
-// shaped one must clear it.
+// control_epoch benchmark fails a warm solve that sets it), and a
+// correctly shaped one must clear it.
 func TestColdStartFlag(t *testing.T) {
 	topo := chainTopo(t, []float64{0.004, 0.004}, 100)
 	cold, err := Solve(topo, Config{})

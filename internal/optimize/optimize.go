@@ -109,8 +109,8 @@ type Allocation struct {
 	Evals int
 	// ColdStart reports that the solver started from the demand-
 	// proportional cold point: no WarmStart was supplied, or its shape did
-	// not match the topology (a silent fallback the retarget loop surfaces
-	// through the retarget_cold_solves_total counter).
+	// not match the topology (a silent fallback the control_epoch
+	// benchmark fails a warm solve for).
 	ColdStart bool
 	// SolveMillis is the wall-clock solve time in milliseconds.
 	SolveMillis float64

@@ -54,15 +54,9 @@ func (l *Link) SendHeartbeat(node int32, seq uint64) error {
 }
 
 // SendTargets implements ControlSender: disseminates a (term,
-// epoch)-stamped CPU target vector.
-func (l *Link) SendTargets(term, epoch uint64, cpu []float64) error {
-	return l.conn.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: cpu})
-}
-
-// SendReplicaTargets implements ControlSender: disseminates a (term,
-// epoch)-stamped per-replica target matrix.
-func (l *Link) SendReplicaTargets(term, epoch uint64, rep [][]float64) error {
-	return l.conn.SendReplicaTargets(transport.ReplicaTargets{Term: term, Epoch: epoch, CPU: rep})
+// epoch)-stamped per-slot target matrix.
+func (l *Link) SendTargets(term, epoch uint64, rep [][]float64) error {
+	return l.conn.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: rep})
 }
 
 // SendTargetAck implements ControlSender: reports a descendant's applied
@@ -101,8 +95,6 @@ func serve(recv func() (transport.Message, error), c *Cluster, from ControlSende
 			c.InjectHeartbeat(msg.Heartbeat.Node)
 		case transport.KindTargets:
 			c.InjectTermTargets(msg.Targets.Term, msg.Targets.Epoch, msg.Targets.CPU)
-		case transport.KindReplicaTargets:
-			c.InjectTermReplicaTargets(msg.ReplicaTargets.Term, msg.ReplicaTargets.Epoch, msg.ReplicaTargets.CPU)
 		case transport.KindTargetAck:
 			c.InjectTargetAckFrom(msg.TargetAck.Origin, msg.TargetAck.Term, msg.TargetAck.Epoch, from)
 		}
@@ -199,14 +191,8 @@ func (l *ResilientLink) SendHeartbeat(node int32, seq uint64) error {
 // SendTargets implements ControlSender. It never blocks; frames are
 // silently withheld while the link is down — the periodic re-broadcast
 // converges the peer once it reconnects.
-func (l *ResilientLink) SendTargets(term, epoch uint64, cpu []float64) error {
-	return l.rc.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: cpu})
-}
-
-// SendReplicaTargets implements ControlSender, with SendTargets'
-// discard-while-down contract.
-func (l *ResilientLink) SendReplicaTargets(term, epoch uint64, rep [][]float64) error {
-	return l.rc.SendReplicaTargets(transport.ReplicaTargets{Term: term, Epoch: epoch, CPU: rep})
+func (l *ResilientLink) SendTargets(term, epoch uint64, rep [][]float64) error {
+	return l.rc.SendTargets(transport.Targets{Term: term, Epoch: epoch, CPU: rep})
 }
 
 // SendTargetAck implements ControlSender. It never blocks; acks are
@@ -357,13 +343,8 @@ func (r *Router) SendHeartbeat(node int32, seq uint64) error {
 }
 
 // SendTargets implements ControlSender by broadcast.
-func (r *Router) SendTargets(term, epoch uint64, cpu []float64) error {
-	return r.eachControl(func(p ControlSender) error { return p.SendTargets(term, epoch, cpu) })
-}
-
-// SendReplicaTargets implements ControlSender by broadcast.
-func (r *Router) SendReplicaTargets(term, epoch uint64, rep [][]float64) error {
-	return r.eachControl(func(p ControlSender) error { return p.SendReplicaTargets(term, epoch, rep) })
+func (r *Router) SendTargets(term, epoch uint64, rep [][]float64) error {
+	return r.eachControl(func(p ControlSender) error { return p.SendTargets(term, epoch, rep) })
 }
 
 // SendTargetAck implements ControlSender by broadcast.

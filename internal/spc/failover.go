@@ -135,12 +135,7 @@ func (c *Cluster) ClaimControl() (uint64, error) {
 	}
 	for {
 		cur := c.targets.Load()
-		var err error
-		if cur.rep != nil {
-			err = c.SetReplicaTargets(cur.epoch+1, cur.rep)
-		} else {
-			err = c.SetTargets(cur.epoch+1, cur.cpu)
-		}
+		err := c.SetReplicaTargets(cur.epoch+1, cur.rep)
 		if err == nil {
 			// The install is stamped with the controller term current at
 			// that instant, which a concurrent claim may have raised past

@@ -14,10 +14,9 @@ import (
 // doubles below embed it and override the one send they observe.
 type nopControl struct{}
 
-func (nopControl) SendHeartbeat(int32, uint64) error                    { return nil }
-func (nopControl) SendTargets(uint64, uint64, []float64) error          { return nil }
-func (nopControl) SendReplicaTargets(uint64, uint64, [][]float64) error { return nil }
-func (nopControl) SendTargetAck(int32, uint64, uint64) error            { return nil }
+func (nopControl) SendHeartbeat(int32, uint64) error             { return nil }
+func (nopControl) SendTargets(uint64, uint64, [][]float64) error { return nil }
+func (nopControl) SendTargetAck(int32, uint64, uint64) error     { return nil }
 
 // recSender is a recording ControlSender double: a tree child (or a
 // delivering link) that remembers every epoch pushed to it.
@@ -27,7 +26,7 @@ type recSender struct {
 	epochs []uint64
 }
 
-func (r *recSender) SendTargets(term, epoch uint64, cpu []float64) error {
+func (r *recSender) SendTargets(term, epoch uint64, rep [][]float64) error {
 	r.mu.Lock()
 	r.epochs = append(r.epochs, epoch)
 	r.mu.Unlock()
@@ -113,12 +112,8 @@ func TestTermFencingRejectsDeposedController(t *testing.T) {
 	// The zombie's frames: term 0, epochs far beyond the takeover epoch,
 	// and a skewed vector that would be visible if it ever applied.
 	skew := []float64{0.9, 0.1, 0.9, 0.1, 0.9, 0.1}
-	c.InjectTermTargets(0, 100, skew)
-	rep := make([][]float64, len(skew))
-	for j, v := range skew {
-		rep[j] = []float64{v}
-	}
-	c.InjectTermReplicaTargets(0, 102, rep)
+	c.InjectTermTargets(0, 100, c.primaryColumn(skew))
+	c.InjectTermTargets(0, 102, c.primaryColumn(skew))
 
 	if got := c.FencedFrames(); got != 2 {
 		t.Errorf("FencedFrames = %d, want 2", got)
@@ -130,11 +125,11 @@ func TestTermFencingRejectsDeposedController(t *testing.T) {
 		t.Errorf("zombie vector applied: cpu[0] = %g, want 0.4", got)
 	}
 	// SetTargets on the deposed identity (term 0) must also lose.
-	if err := c.applyTargets(0, 103, skew); err == nil {
-		t.Errorf("deposed local applyTargets succeeded")
+	if err := c.applyReplicaTargets(0, 103, c.primaryColumn(skew)); err == nil {
+		t.Errorf("deposed local applyReplicaTargets succeeded")
 	}
 	// The live term still advances normally.
-	c.InjectTermTargets(1, 7, cpu)
+	c.InjectTermTargets(1, 7, c.primaryColumn(cpu))
 	if c.TargetsEpoch() != 7 {
 		t.Errorf("live-term epoch 7 rejected (applied %d)", c.TargetsEpoch())
 	}
@@ -175,7 +170,7 @@ func TestClaimControlRacesWithTargetTraffic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for e := uint64(1); e <= 5; e++ {
-				c.InjectTermTargets(0, e, cpu)
+				c.InjectTermTargets(0, e, c.primaryColumn(cpu))
 				c.BroadcastTargets()
 			}
 		}()
@@ -234,7 +229,7 @@ func TestRepeatedAckForwardsOnce(t *testing.T) {
 	parent := &recAck{}
 	c.EnableHierRelay(1, parent)
 	cpu := []float64{0.4, 0.4, 0.4, 0.4, 0.4, 0.4}
-	if err := c.applyTargets(0, 3, cpu); err != nil {
+	if err := c.applyReplicaTargets(0, 3, c.primaryColumn(cpu)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
@@ -269,7 +264,7 @@ func TestHierRepairPromotesBackupParent(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpu := []float64{0.4, 0.4, 0.4, 0.4, 0.4, 0.4}
-	if err := c.applyTargets(0, 2, cpu); err != nil {
+	if err := c.applyReplicaTargets(0, 2, c.primaryColumn(cpu)); err != nil {
 		t.Fatal(err)
 	}
 	c.InjectTargetAckFrom(5, 0, 2, nil) // a descendant the new parent must learn about
@@ -403,7 +398,7 @@ func TestSafetyModeEngagesAndClearsOnFreshEpoch(t *testing.T) {
 // share ramping back on the primary slot.
 func TestEffSlotBlendAlgebra(t *testing.T) {
 	c := failoverCluster(t, 71)
-	ts := c.makeTargetSet(0, 1, []float64{0.8, 0, 0.4, 0.4, 0.4, 0.4}, nil)
+	ts := c.makeTargetSet(0, 1, c.primaryColumn([]float64{0.8, 0, 0.4, 0.4, 0.4, 0.4}))
 	// Blend 0: the installed slot, untouched.
 	if got := c.effSlot(ts, 0, 0, 0); got != 0.8 {
 		t.Errorf("b=0 slot = %g, want 0.8", got)

@@ -13,14 +13,7 @@ import (
 	"math"
 	"sync"
 	"time"
-
-	"aces/internal/hier"
-	"aces/internal/optimize"
 )
-
-// hierDecomposition lets retarget.go hold the prebuilt partition without
-// importing internal/hier itself.
-type hierDecomposition = hier.Decomposition
 
 // hierRelay is a cluster's position in the dissemination tree.
 type hierRelay struct {
@@ -210,16 +203,6 @@ func (c *Cluster) hierMaintain(now float64) {
 	}
 }
 
-// sendTargetsTo pushes one target set to one peer in the form it was
-// installed in: the per-slot matrix for a replica set, the logical
-// vector otherwise.
-func sendTargetsTo(peer ControlSender, ts *targetSet) error {
-	if ts.rep != nil {
-		return peer.SendReplicaTargets(ts.term, ts.epoch, ts.rep)
-	}
-	return peer.SendTargets(ts.term, ts.epoch, ts.cpu)
-}
-
 // relayTargetsDown pushes the applied target set to every tree child.
 // Each frame increments retarget_frames_sent.
 func (c *Cluster) relayTargetsDown() {
@@ -231,7 +214,7 @@ func (c *Cluster) relayTargetsDown() {
 	}
 	ts := c.targets.Load()
 	for _, child := range children {
-		if err := sendTargetsTo(child, ts); err != nil {
+		if err := child.SendTargets(ts.term, ts.epoch, ts.rep); err != nil {
 			continue // best effort; the next epoch or re-broadcast repairs it
 		}
 		c.framesSent.Add(1)
@@ -286,7 +269,7 @@ func (c *Cluster) InjectTargetAckFrom(origin int32, term, epoch uint64, from Con
 	c.updateEpochLag()
 	if repair && from != nil {
 		if ts := c.targets.Load(); ts.epoch > epoch && ts.epoch-epoch > lagBound {
-			if err := sendTargetsTo(from, ts); err == nil {
+			if err := from.SendTargets(ts.term, ts.epoch, ts.rep); err == nil {
 				c.framesSent.Add(1)
 				if c.reg != nil {
 					c.reg.Counter("retarget_frames_sent", nil).Inc()
@@ -356,27 +339,13 @@ func (c *Cluster) LastSolveMillis() float64 {
 	return math.Float64frombits(c.lastSolveMs.Load())
 }
 
-// noteColdSolve records that a re-solve cold-started: the solver reported
-// that its warm start was missing or mis-shaped (Allocation.ColdStart), so
-// the loop paid a full ascent. Surfaced as the retarget_cold_solves_total
-// counter and Report.ColdSolves — a run that keeps cold-starting after a
-// topology change is burning its epoch deadline on avoidable work.
-func (c *Cluster) noteColdSolve() {
-	c.coldSolves.Add(1)
-	if c.reg != nil {
-		c.reg.Counter("retarget_cold_solves_total", nil).Inc()
-	}
-}
-
-// ColdSolves returns how many adaptive-loop re-solves cold-started on
-// this process.
-func (c *Cluster) ColdSolves() int64 { return c.coldSolves.Load() }
-
 // HierRetarget switches the adaptive loop's re-solve to the hierarchical
 // control plane (internal/hier): the calibrated topology is decomposed
 // into regions once at StartRetarget, and every epoch re-solves the
 // regions independently under the root's price coordination instead of
-// running one monolithic ascent.
+// running one monolithic ascent. Its regional solves are elastic exactly
+// when the topology declares replica slots, as the monolithic loop's
+// are; either way the loop installs the result through its one path.
 type HierRetarget struct {
 	// Regions / MaxRegionPEs parameterize the partition (at least one
 	// required; see hier.PartitionConfig).
@@ -390,76 +359,4 @@ type HierRetarget struct {
 	// Deadline is the per-epoch solve budget; a blown deadline truncates
 	// the sweep instead of stalling the loop.
 	Deadline time.Duration
-}
-
-// hierRetargetOnce is the hierarchical body of the adaptive loop: same
-// observe/apply/disseminate contract as retargetOnce, with the solve
-// delegated to hier.Solve over the prebuilt decomposition.
-func (c *Cluster) hierRetargetOnce(cal *optimize.Calibrator, rc RetargetConfig, dec *hier.Decomposition) {
-	if c.abdicated() {
-		return
-	}
-	for _, pr := range c.prs {
-		if pr.breaker.Load() {
-			continue
-		}
-		cpuFrac, rate := pr.calRates()
-		cal.Observe(int(pr.id), cpuFrac, rate)
-	}
-	cur := c.targets.Load()
-	oc := rc.Optimize
-	oc.WarmStart = cur.cpu
-	oc.WarmStartReplica = cur.rep
-	hc := hier.Config{
-		Optimize:  oc,
-		Sweeps:    rc.Hier.Sweeps,
-		Epsilon:   rc.Hier.Epsilon,
-		PriceStep: rc.Hier.PriceStep,
-		Deadline:  rc.Hier.Deadline,
-		Elastic:   rc.Elastic,
-	}
-	ha, err := hier.Solve(cal.Calibrated(), dec, hc)
-	if err != nil {
-		// Keep the incumbent; re-disseminate so peers converge regardless.
-		c.broadcastTargets()
-		return
-	}
-	iters := 0
-	for _, rs := range ha.Regions {
-		iters += rs.Iterations
-	}
-	c.noteSolve(ha.SolveMillis, iters)
-	if c.reg != nil {
-		c.reg.Gauge("hier_regions", nil).Set(float64(len(ha.Regions)))
-		c.reg.Gauge("hier_sweeps", nil).Set(float64(ha.Sweeps))
-	}
-	if rc.Elastic {
-		if err := c.SetReplicaTargets(cur.epoch+1, ha.Replica); err != nil {
-			c.broadcastTargets()
-			return
-		}
-	} else {
-		if err := c.SetTargets(cur.epoch+1, ha.CPU); err != nil {
-			c.broadcastTargets()
-			return
-		}
-	}
-	if rc.OnRetarget != nil {
-		rc.OnRetarget(cur.epoch+1, ha.CPU)
-	}
-}
-
-// buildHierDecomposition partitions the deployment topology for the
-// hierarchical retarget loop. The decomposition depends only on graph
-// shape and placement, both fixed for a deployment's lifetime, so it is
-// computed once and reused every epoch.
-func buildHierDecomposition(c *Cluster, h *HierRetarget) (*hier.Decomposition, error) {
-	dec, err := hier.Partition(c.cfg.Topo, hier.PartitionConfig{
-		Regions:      h.Regions,
-		MaxRegionPEs: h.MaxRegionPEs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("spc: hier retarget: %w", err)
-	}
-	return dec, nil
 }

@@ -233,7 +233,7 @@ func TestHierEpochLagTracksSlowDescendant(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.EnableHierRelay(0, nil)
-	if err := root.applyTargets(0, 3, cpu); err != nil {
+	if err := root.applyReplicaTargets(0, 3, root.primaryColumn(cpu)); err != nil {
 		t.Fatal(err)
 	}
 	root.InjectTargetAckFrom(1, 0, 3, nil)

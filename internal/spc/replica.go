@@ -17,7 +17,6 @@
 package spc
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -62,18 +61,8 @@ func routeIndex(s sdo.SDO, n int) int {
 	return int(k % uint64(n))
 }
 
-// slot returns the CPU target of replica slot (j, rep) under this set. A
-// set installed through the logical path (SetTargets) has no per-slot
-// matrix; it collapses every group onto the primary.
-func (ts *targetSet) slot(j sdo.PEID, rep int32) float64 {
-	if ts.rep == nil {
-		if rep == 0 {
-			return ts.cpu[j]
-		}
-		return 0
-	}
-	return ts.rep[j][rep]
-}
+// slot returns the CPU target of replica slot (j, rep) under this set.
+func (ts *targetSet) slot(j sdo.PEID, rep int32) float64 { return ts.rep[j][rep] }
 
 // pick routes one SDO to a replica slot of logical PE j.
 func (ts *targetSet) pick(j sdo.PEID, s sdo.SDO) replicaRef {
@@ -111,25 +100,36 @@ func (c *Cluster) ref(j sdo.PEID, r int32) replicaRef {
 	return replicaRef{pr: pr, pe: j, rep: r}
 }
 
-// makeTargetSet builds the full immutable target set for an epoch: per-PE
-// routing rings weighted by the slot targets and per-PE feedback-key
-// groups listing the ACTIVE slots. A PE with no active slot (target 0
-// everywhere, or a logical set's dormant replicas) falls back to a
+// primaryColumn lifts a logical target vector into the topology's slot
+// matrix: each PE's whole target on its primary, every other slot
+// dormant.
+func (c *Cluster) primaryColumn(cpu []float64) [][]float64 {
+	rep := make([][]float64, len(cpu))
+	for j, v := range cpu {
+		rep[j] = make([]float64, c.cfg.Topo.Replicas(sdo.PEID(j)))
+		rep[j][0] = v
+	}
+	return rep
+}
+
+// makeTargetSet builds the full immutable target set for an epoch from
+// its slot matrix: per-PE logical totals, routing rings weighted by the
+// slot targets and per-PE feedback-key groups listing the ACTIVE slots.
+// A PE with no active slot (target 0 everywhere) falls back to a
 // singleton primary ring and group, which reproduces the pre-elastic
 // runtime exactly — routing still has somewhere to put an SDO, and the
 // bounds still watch the (forgotten or silent) primary key.
-func (c *Cluster) makeTargetSet(term, epoch uint64, cpu []float64, rep [][]float64) *targetSet {
-	t := c.cfg.Topo
-	p := t.NumPEs()
-	ts := &targetSet{term: term, epoch: epoch, cpu: cpu, rep: rep}
+func (c *Cluster) makeTargetSet(term, epoch uint64, rep [][]float64) *targetSet {
+	p := len(rep)
+	ts := &targetSet{term: term, epoch: epoch, cpu: make([]float64, p), rep: rep}
 	ts.route = make([][]replicaRef, p)
 	ts.groupKeys = make([][]int32, p)
-	for j := 0; j < p; j++ {
-		slots := t.Replicas(sdo.PEID(j))
+	for j, row := range rep {
 		var act []int32
 		var w []float64
-		for r := 0; r < slots; r++ {
-			if v := ts.slot(sdo.PEID(j), int32(r)); v > 0 {
+		for r, v := range row {
+			ts.cpu[j] += v
+			if v > 0 {
 				act = append(act, int32(r))
 				w = append(w, v)
 			}
@@ -235,49 +235,28 @@ func (c *Cluster) SetReplicaTargets(epoch uint64, rep [][]float64) error {
 	return nil
 }
 
-// InjectTermReplicaTargets applies a replica target set received from a
-// peer process. Stale epochs and deposed terms are dropped silently;
-// nothing is re-broadcast outside the tree. Tree relays forward fresh
-// epochs to their children and ack every received frame upward, exactly
-// as InjectTermTargets does.
-func (c *Cluster) InjectTermReplicaTargets(term, epoch uint64, rep [][]float64) {
-	c.noteCtrlFrame(term)
-	err := c.applyReplicaTargets(term, epoch, rep)
-	if err != nil && !errors.Is(err, ErrStaleEpoch) {
-		if c.reg != nil {
-			c.reg.Counter("retarget_rejects_total", nil).Inc()
-		}
-		return
-	}
-	if err == nil {
-		c.relayTargetsDown()
-		c.updateEpochLag()
-	}
-	c.ackTargetsUp()
-}
-
+// applyReplicaTargets validates a slot matrix and swaps it in under
+// (term, epoch): the one install path of every target set, local or
+// received. The matrix is copied, so the caller keeps its rows.
 func (c *Cluster) applyReplicaTargets(term, epoch uint64, rep [][]float64) error {
 	t := c.cfg.Topo
 	if len(rep) != t.NumPEs() {
 		return fmt.Errorf("spc: replica targets have %d rows, topology has %d PEs", len(rep), t.NumPEs())
 	}
 	clean := make([][]float64, len(rep))
-	cpu := make([]float64, len(rep))
 	for j := range rep {
 		want := t.Replicas(sdo.PEID(j))
 		if len(rep[j]) != want {
 			return fmt.Errorf("spc: PE %d has %d replica targets, topology declares %d slots", j, len(rep[j]), want)
 		}
-		clean[j] = make([]float64, want)
 		for r, v := range rep[j] {
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				return fmt.Errorf("spc: target for PE %d replica %d is %v", j, r, v)
 			}
-			clean[j][r] = v
-			cpu[j] += v
 		}
+		clean[j] = append([]float64(nil), rep[j]...)
 	}
-	return c.installTargets(c.makeTargetSet(term, epoch, cpu, clean))
+	return c.installTargets(c.makeTargetSet(term, epoch, clean))
 }
 
 // installTargets CASes a built target set in (strictly newer (term,
@@ -371,30 +350,20 @@ func (c *Cluster) drainReplica(pr *peRuntime, tgt *targetSet) {
 // the applied target set (1 for a PE that never scaled out — the primary
 // fallback routes even when its target is 0).
 func (c *Cluster) ActiveReplicas(j sdo.PEID) int {
-	ts := c.targets.Load()
-	if ts.rep == nil {
-		return 1
-	}
 	n := 0
-	for _, v := range ts.rep[j] {
+	for _, v := range c.targets.Load().rep[j] {
 		if v > 0 {
 			n++
 		}
 	}
-	if n == 0 {
-		n = 1
-	}
-	return n
+	return max(n, 1)
 }
 
 // ReplicaTargetsSnapshot returns the applied epoch and a copy of the
-// per-slot target matrix; the matrix is nil when the applied set came
-// through the logical path (primary-only collapse).
+// per-slot target matrix (a set installed from a vector holds it in the
+// primary column).
 func (c *Cluster) ReplicaTargetsSnapshot() (uint64, [][]float64) {
 	ts := c.targets.Load()
-	if ts.rep == nil {
-		return ts.epoch, nil
-	}
 	out := make([][]float64, len(ts.rep))
 	for j := range ts.rep {
 		out[j] = append([]float64(nil), ts.rep[j]...)

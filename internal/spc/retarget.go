@@ -14,10 +14,13 @@ import (
 	"math"
 	"time"
 
+	"aces/internal/graph"
+	"aces/internal/hier"
 	"aces/internal/optimize"
+	"aces/internal/sdo"
 )
 
-// targetSet is an immutable epoch-stamped CPU target vector. The cluster
+// targetSet is an immutable epoch-stamped CPU target matrix. The cluster
 // holds the current one in an atomic pointer: schedulers load it once per
 // tick (no lock, no allocation) and the control plane swaps in whole new
 // sets, so a tick sees either the old targets or the new ones, never a
@@ -29,11 +32,11 @@ type targetSet struct {
 	// rule that makes a zombie ex-controller harmless.
 	term  uint64
 	epoch uint64
-	// cpu holds the LOGICAL per-PE targets (sum over replica slots).
-	cpu []float64
-	// rep holds the per-replica-slot targets; nil for a set installed
-	// through the logical path (everything runs on the primaries).
+	// rep holds the per-replica-slot targets, shaped like the topology's
+	// slots (a vector installs into the primary column); cpu the LOGICAL
+	// per-PE targets, each row's sum.
 	rep [][]float64
+	cpu []float64
 	// route[j] is PE j's replica routing ring (singleton for one active
 	// slot); groupKeys[j] the feedback keys of its ACTIVE slots, which the
 	// grouped Eq. 8 bounds sum. Both are built locally by makeTargetSet —
@@ -77,19 +80,20 @@ func (c *Cluster) Targets() (uint64, []float64) {
 func (c *Cluster) Retargets() int64 { return c.retargets.Load() }
 
 // SetTargets applies a new CPU target vector under the given epoch and
-// broadcasts it to peer processes (when the uplink is a ControlSender). The
-// epoch must be strictly greater than the applied one; stale epochs return
-// ErrStaleEpoch and change nothing. The set is stamped with this process's
-// controller term (0 until ClaimControl raises it). Application is
-// hitless: node schedulers fold the new rates into their token buckets on
-// the next tick, buffers and in-flight SDOs are untouched, and no PE
+// broadcasts it to peer processes (when the uplink is a ControlSender):
+// each PE's target goes to its primary slot and every other slot goes
+// dormant, so a replica group collapses onto its primary. The epoch must
+// be strictly greater than the applied one; stale epochs return
+// ErrStaleEpoch and change nothing. The set is stamped with this
+// process's controller term (0 until ClaimControl raises it). Application
+// is hitless: node schedulers fold the new rates into their token buckets
+// on the next tick, buffers and in-flight SDOs are untouched, and no PE
 // restarts.
 func (c *Cluster) SetTargets(epoch uint64, cpu []float64) error {
-	if err := c.applyTargets(c.ctrlTerm.Load(), epoch, cpu); err != nil {
-		return err
+	if len(cpu) != len(c.pes) {
+		return fmt.Errorf("spc: target vector has %d entries, topology has %d PEs", len(cpu), len(c.pes))
 	}
-	c.broadcastTargets()
-	return nil
+	return c.SetReplicaTargets(epoch, c.primaryColumn(cpu))
 }
 
 // InjectTermTargets applies a target set received from a peer process.
@@ -100,11 +104,11 @@ func (c *Cluster) SetTargets(epoch uint64, cpu []float64) error {
 // pushed on to this process's children, and every received frame (fresh
 // or stale) is acked upward so the parent tracks the subtree's applied
 // epoch.
-func (c *Cluster) InjectTermTargets(term, epoch uint64, cpu []float64) {
+func (c *Cluster) InjectTermTargets(term, epoch uint64, rep [][]float64) {
 	c.noteCtrlFrame(term)
-	err := c.applyTargets(term, epoch, cpu)
+	err := c.applyReplicaTargets(term, epoch, rep)
 	if err != nil && !errors.Is(err, ErrStaleEpoch) {
-		// Malformed vectors from a peer are a deployment bug worth a trace
+		// Malformed matrices from a peer are a deployment bug worth a trace
 		// in telemetry, but never worth crashing the data plane over.
 		if c.reg != nil {
 			c.reg.Counter("retarget_rejects_total", nil).Inc()
@@ -126,25 +130,6 @@ func (c *Cluster) noteCtrlFrame(term uint64) {
 	if term >= c.targets.Load().term {
 		c.lastCtrlFrame.Store(math.Float64bits(c.clock.Now()))
 	}
-}
-
-// applyTargets validates and swaps in a new LOGICAL target set. A logical
-// epoch collapses every replica group onto its primary (a flat coordinator
-// wins outright — the (term, epoch) order is the only authority); slots
-// the collapse deactivates are forgotten on the feedback board and drained
-// by their node schedulers exactly as an elastic scale-in would.
-func (c *Cluster) applyTargets(term, epoch uint64, cpu []float64) error {
-	if len(cpu) != len(c.pes) {
-		return fmt.Errorf("spc: target vector has %d entries, topology has %d PEs", len(cpu), len(c.pes))
-	}
-	clean := make([]float64, len(cpu))
-	for j, v := range cpu {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("spc: target for PE %d is %v", j, v)
-		}
-		clean[j] = v
-	}
-	return c.installTargets(c.makeTargetSet(term, epoch, clean, nil))
 }
 
 // applyEpoch re-tunes one node's token buckets to a new target epoch. The
@@ -207,7 +192,8 @@ func (c *Cluster) broadcastTargets() {
 	}
 	if c.ctl != nil {
 		// Best effort by contract: the next periodic broadcast repairs a loss.
-		_ = sendTargetsTo(c.ctl, c.targets.Load())
+		ts := c.targets.Load()
+		_ = c.ctl.SendTargets(ts.term, ts.epoch, ts.rep)
 	}
 }
 
@@ -247,21 +233,17 @@ func (pr *peRuntime) calRates() (cpuFrac, rate float64) {
 type RetargetConfig struct {
 	// Every is the virtual seconds between re-solves (required, > 0).
 	Every float64
-	// Optimize configures the tier-1 solver. WarmStart is managed by the
-	// loop (each re-solve starts from the incumbent targets).
+	// Optimize configures the tier-1 solver. WarmStart and
+	// WarmStartReplica are managed by the loop (each re-solve starts from
+	// the incumbent targets).
 	Optimize optimize.Config
 	// Lambda is the RLS forgetting factor (0 → 0.98).
 	Lambda float64
 	// MinSamples gates calibration: a PE observed in fewer windows keeps
 	// its declared model (0 → the calibrator default).
 	MinSamples int
-	// Elastic switches the re-solve to SolveElastic: the loop chooses
-	// per-replica-slot targets from the calibrated models (a replica adds
-	// a_j·c̄ − b_j capacity but pays the overhead b_j again) and
-	// disseminates them as replica target sets.
-	Elastic bool
 	// OnRetarget, when set, is invoked after each accepted epoch with the
-	// new targets (testing and logging hook; called from the loop
+	// new logical targets (testing and logging hook; called from the loop
 	// goroutine).
 	OnRetarget func(epoch uint64, cpu []float64)
 	// Hier, when set, replaces the monolithic re-solve with the
@@ -271,6 +253,11 @@ type RetargetConfig struct {
 	Hier *HierRetarget
 }
 
+// resolve is the adaptive loop's re-solve: the calibrated topology and
+// the incumbent set in, the next epoch's slot matrix and its logical
+// totals out.
+type resolve func(t *graph.Topology, cur *targetSet) (rep [][]float64, cpu []float64, err error)
+
 // StartRetarget launches the adaptive loop on this process: every Every
 // virtual seconds it samples each local PE's measured rate model, re-runs
 // the tier-1 solver on the calibrated topology warm-started from the
@@ -279,18 +266,20 @@ type RetargetConfig struct {
 // run the loop on the process hosting the PEs whose drift matters — or on
 // every process; epoch ordering makes concurrent loops safe, just wasteful.
 // The loop stops with the cluster.
+//
+// The solver is chosen once, here: hier.Solve when rc.Hier is set;
+// otherwise SolveElastic when the topology declares any replica slot, so
+// the loop also picks replica counts from the calibrated models (a
+// replica adds a_j·c̄ − b_j capacity but pays the overhead b_j again);
+// otherwise Solve, whose vector installs into the primary column.
 func (c *Cluster) StartRetarget(rc RetargetConfig) error {
 	if rc.Every <= 0 {
 		return fmt.Errorf("spc: RetargetConfig.Every must be positive, got %g", rc.Every)
 	}
 	cal := optimize.NewCalibrator(c.cfg.Topo, rc.Lambda, rc.MinSamples)
-	var dec *hierDecomposition
-	if rc.Hier != nil {
-		d, err := buildHierDecomposition(c, rc.Hier)
-		if err != nil {
-			return err
-		}
-		dec = d
+	solve, err := c.solver(rc)
+	if err != nil {
+		return err
 	}
 	wall := time.Duration(rc.Every / c.scale * float64(time.Second))
 	// The loop joins rtWG, not the data plane's wg: Stop waits this
@@ -307,19 +296,76 @@ func (c *Cluster) StartRetarget(rc RetargetConfig) error {
 				return
 			case <-ticker.C:
 			}
-			if dec != nil {
-				c.hierRetargetOnce(cal, rc, dec)
-			} else {
-				c.retargetOnce(cal, rc)
-			}
+			c.retargetOnce(cal, rc, solve)
 		}
 	}()
 	return nil
 }
 
-// retargetOnce runs one iteration of the adaptive loop: observe, re-solve,
-// apply, disseminate.
-func (c *Cluster) retargetOnce(cal *optimize.Calibrator, rc RetargetConfig) {
+// solver returns the adaptive loop's one re-solve (see StartRetarget).
+// Each branch warm-starts from the incumbent set, which always has the
+// topology's shape.
+func (c *Cluster) solver(rc RetargetConfig) (resolve, error) {
+	t := c.cfg.Topo
+	elastic := false
+	for j := range t.PEs {
+		elastic = elastic || t.Replicas(sdo.PEID(j)) > 1
+	}
+	oc := rc.Optimize
+	switch {
+	case rc.Hier != nil:
+		dec, err := hier.Partition(t, hier.PartitionConfig{Regions: rc.Hier.Regions, MaxRegionPEs: rc.Hier.MaxRegionPEs})
+		if err != nil {
+			return nil, fmt.Errorf("spc: hier retarget: %w", err)
+		}
+		return func(ct *graph.Topology, cur *targetSet) ([][]float64, []float64, error) {
+			oc.WarmStart, oc.WarmStartReplica = cur.cpu, cur.rep
+			ha, err := hier.Solve(ct, dec, hier.Config{
+				Optimize: oc, Sweeps: rc.Hier.Sweeps, Epsilon: rc.Hier.Epsilon,
+				PriceStep: rc.Hier.PriceStep, Deadline: rc.Hier.Deadline, Elastic: elastic,
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+			iters := 0
+			for _, rs := range ha.Regions {
+				iters += rs.Iterations
+			}
+			c.noteSolve(ha.SolveMillis, iters)
+			if c.reg != nil {
+				c.reg.Gauge("hier_regions", nil).Set(float64(len(ha.Regions)))
+				c.reg.Gauge("hier_sweeps", nil).Set(float64(ha.Sweeps))
+			}
+			if !elastic {
+				return c.primaryColumn(ha.CPU), ha.CPU, nil
+			}
+			return ha.Replica, ha.CPU, nil
+		}, nil
+	case elastic:
+		return func(ct *graph.Topology, cur *targetSet) ([][]float64, []float64, error) {
+			oc.WarmStartReplica = cur.rep
+			ea, err := optimize.SolveElastic(ct, oc)
+			if err != nil {
+				return nil, nil, err
+			}
+			c.noteSolve(ea.SolveMillis, ea.Iterations)
+			return ea.Replica, ea.CPU, nil
+		}, nil
+	}
+	return func(ct *graph.Topology, cur *targetSet) ([][]float64, []float64, error) {
+		oc.WarmStart = cur.cpu
+		a, err := optimize.Solve(ct, oc)
+		if err != nil {
+			return nil, nil, err
+		}
+		c.noteSolve(a.SolveMillis, a.Iterations)
+		return c.primaryColumn(a.CPU), a.CPU, nil
+	}, nil
+}
+
+// retargetOnce runs one iteration of the adaptive loop: observe, solve,
+// install, disseminate.
+func (c *Cluster) retargetOnce(cal *optimize.Calibrator, rc RetargetConfig, solve resolve) {
 	if c.abdicated() {
 		return
 	}
@@ -336,47 +382,21 @@ func (c *Cluster) retargetOnce(cal *optimize.Calibrator, rc RetargetConfig) {
 		cal.Observe(int(pr.id), cpuFrac, rate)
 	}
 	cur := c.targets.Load()
-	oc := rc.Optimize
-	if rc.Elastic {
-		oc.WarmStartReplica = cur.rep
-		ea, err := optimize.SolveElastic(cal.Calibrated(), oc)
-		if err != nil {
-			c.broadcastTargets()
-			return
-		}
-		c.noteSolve(ea.SolveMillis, ea.Iterations)
-		if ea.ColdStart {
-			c.noteColdSolve()
-		}
-		if err := c.SetReplicaTargets(cur.epoch+1, ea.Replica); err != nil {
-			c.broadcastTargets()
-			return
-		}
-		if rc.OnRetarget != nil {
-			rc.OnRetarget(cur.epoch+1, ea.CPU)
-		}
-		return
+	rep, cpu, err := solve(cal.Calibrated(), cur)
+	if err == nil {
+		err = c.SetReplicaTargets(cur.epoch+1, rep)
 	}
-	oc.WarmStart = cur.cpu
-	alloc, err := optimize.Solve(cal.Calibrated(), oc)
 	if err != nil {
 		// An unsolvable calibrated topology (pathological estimates slipped
-		// the guards) must not kill the loop; keep the incumbent targets.
-		c.broadcastTargets()
-		return
-	}
-	c.noteSolve(alloc.SolveMillis, alloc.Iterations)
-	if alloc.ColdStart {
-		c.noteColdSolve()
-	}
-	if err := c.SetTargets(cur.epoch+1, alloc.CPU); err != nil {
-		// Lost a race with a concurrent retarget; its targets stand.
-		// Re-disseminate whatever is current so peers converge regardless.
+		// the guards) must not kill the loop, and an install that lost a
+		// race with a concurrent retarget leaves that one's targets
+		// standing. Either way, re-disseminate whatever is current so peers
+		// converge regardless.
 		c.broadcastTargets()
 		return
 	}
 	if rc.OnRetarget != nil {
-		rc.OnRetarget(cur.epoch+1, alloc.CPU)
+		rc.OnRetarget(cur.epoch+1, cpu)
 	}
 }
 

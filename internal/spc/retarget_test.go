@@ -73,11 +73,11 @@ func TestSetTargetsValidatesAndOrdersEpochs(t *testing.T) {
 	}
 
 	// InjectTermTargets is the receive path: silent on stale, applied on new.
-	c.InjectTermTargets(0, 1, []float64{0.9, 0.1}) // stale — dropped
+	c.InjectTermTargets(0, 1, [][]float64{{0.9}, {0.1}}) // stale — dropped
 	if _, cpu := c.Targets(); cpu[0] != 0.4 {
 		t.Errorf("stale inject applied: %v", cpu)
 	}
-	c.InjectTermTargets(0, 5, []float64{0.7, 0.3})
+	c.InjectTermTargets(0, 5, [][]float64{{0.7}, {0.3}})
 	if e, cpu := c.Targets(); e != 5 || cpu[0] != 0.7 {
 		t.Errorf("inject not applied: epoch %d cpu %v", e, cpu)
 	}
@@ -262,41 +262,65 @@ func TestStartRetargetAdaptsToCostStep(t *testing.T) {
 	}
 }
 
-// TestRetargetColdSolveCounter pins the cold-start surfacing: the
-// deployment-time target set is logical (no replica matrix), so the FIRST
-// elastic re-solve has no WarmStartReplica and must cold-start — silently,
-// before Allocation.ColdStart existed. The loop must count it once, then
-// warm-start from the replica-form epoch it just installed; the monolithic
-// path always has the incumbent logical vector and never cold-starts.
-func TestRetargetColdSolveCounter(t *testing.T) {
-	topo := elasticChain(t, 200, 0.002)
-	c, err := NewCluster(Config{Topo: topo, Policy: policy.ACES, CPU: []float64{0.3, 0.4, 0.3}, TimeScale: 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.cancel()
-	cal := optimize.NewCalibrator(topo, 0, 0)
-	oc := optimize.Config{Utility: optimize.LinearUtility{}, MaxIters: 200}
+// TestRetargetOnceInstallsTopologyShape: the loop's one body installs
+// epoch+1 in the topology's shape, warm-started from the applied set.
+// With replica slots that is SolveElastic's matrix, warm from the
+// deployment-time vector lifted into the primary column; without, it is
+// optimize.Solve's vector for the same calibrated topology and warm
+// start, in the primary column. No clock runs: retargetOnce is called
+// directly.
+func TestRetargetOnceInstallsTopologyShape(t *testing.T) {
+	cpu := []float64{0.3, 0.4, 0.3}
+	rc := RetargetConfig{Every: 1, Optimize: optimize.Config{Utility: optimize.LinearUtility{}, MaxIters: 200}}
+	slotted := elasticChain(t, 200, 0.002)
+	flat := elasticChain(t, 200, 0.002)
+	flat.PEs[1].MaxReplicas, flat.PEs[1].ReplicaNodes = 0, nil
+	for _, topo := range []*graph.Topology{slotted, flat} {
+		c, err := NewCluster(Config{Topo: topo, Policy: policy.ACES, CPU: cpu, TimeScale: 20, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.cancel()
+		solve, err := c.solver(rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := optimize.NewCalibrator(topo, 0, 0)
+		c.retargetOnce(cal, rc, solve)
 
-	// Monolithic re-solve: warm-started from the incumbent logical vector.
-	c.retargetOnce(cal, RetargetConfig{Every: 1, Optimize: oc})
-	if got := c.ColdSolves(); got != 0 {
-		t.Fatalf("monolithic re-solve cold-started: ColdSolves = %d, want 0", got)
-	}
-
-	// First elastic re-solve: the applied set is logical, cur.rep == nil.
-	c.retargetOnce(cal, RetargetConfig{Every: 1, Elastic: true, Optimize: oc})
-	if got := c.ColdSolves(); got != 1 {
-		t.Fatalf("first elastic re-solve: ColdSolves = %d, want 1", got)
-	}
-
-	// Second elastic re-solve warm-starts from the installed replica set.
-	c.retargetOnce(cal, RetargetConfig{Every: 1, Elastic: true, Optimize: oc})
-	if got := c.ColdSolves(); got != 1 {
-		t.Fatalf("second elastic re-solve: ColdSolves = %d, want 1 (still)", got)
-	}
-
-	if rep := c.Report(c.Now()); rep.ColdSolves != 1 {
-		t.Errorf("Report.ColdSolves = %d, want 1", rep.ColdSolves)
+		var want [][]float64
+		if topo == slotted {
+			oc := rc.Optimize
+			oc.WarmStartReplica = [][]float64{{0.3}, {0.4, 0}, {0.3}}
+			ea, err := optimize.SolveElastic(cal.Calibrated(), oc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = ea.Replica
+		} else {
+			oc := rc.Optimize
+			oc.WarmStart = cpu
+			a, err := optimize.Solve(cal.Calibrated(), oc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range a.CPU {
+				want = append(want, []float64{v})
+			}
+		}
+		epoch, got := c.ReplicaTargetsSnapshot()
+		if epoch != 1 {
+			t.Errorf("installed epoch %d, want 1", epoch)
+		}
+		for j := range topo.PEs {
+			if len(got[j]) != topo.Replicas(sdo.PEID(j)) {
+				t.Fatalf("PE %d row has %d slots, topology declares %d", j, len(got[j]), topo.Replicas(sdo.PEID(j)))
+			}
+			for r := range got[j] {
+				if got[j][r] != want[j][r] {
+					t.Errorf("slots=%d: target[%d][%d] = %g, want %g", len(got[1]), j, r, got[j][r], want[j][r])
+				}
+			}
+		}
 	}
 }

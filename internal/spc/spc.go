@@ -127,10 +127,9 @@ type ControlSender interface {
 	// SendHeartbeat asserts that node `node` is alive; seq increments per
 	// beacon.
 	SendHeartbeat(node int32, seq uint64) error
-	// SendTargets disseminates a logical CPU target vector.
-	SendTargets(term, epoch uint64, cpu []float64) error
-	// SendReplicaTargets disseminates a per-replica-slot target matrix.
-	SendReplicaTargets(term, epoch uint64, rep [][]float64) error
+	// SendTargets disseminates a target set: rep[j][r] is the CPU target
+	// of replica slot r of PE j.
+	SendTargets(term, epoch uint64, rep [][]float64) error
 	// SendTargetAck reports up the dissemination tree that node origin
 	// has applied targets through (term, epoch).
 	SendTargetAck(origin int32, term, epoch uint64) error
@@ -448,12 +447,7 @@ type Cluster struct {
 	// accepted epochs, gEpoch its telemetry gauge.
 	targets   atomic.Pointer[targetSet]
 	retargets atomic.Int64
-	// coldSolves counts adaptive-loop re-solves that fell back to a cold
-	// start (missing or wrong-shaped warm start after a topology change) —
-	// each one pays a full ascent against the epoch deadline, so silence
-	// here would hide a real latency regression.
-	coldSolves atomic.Int64
-	gEpoch     *obs.Gauge
+	gEpoch    *obs.Gauge
 	// hier is the dissemination-tree state (inert for flat deployments);
 	// see EnableHierRelay. framesSent counts target frames pushed to tree
 	// children; lastSolveMs/lastSolveIters snapshot the most recent
@@ -749,7 +743,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	}
 	// Term 0 / epoch 0 is the deployment-time allocation; schedulers apply
 	// later epochs hitlessly as SetTargets/InjectTermTargets install them.
-	c.targets.Store(c.makeTargetSet(0, 0, append([]float64(nil), cfg.CPU...), nil))
+	c.targets.Store(c.makeTargetSet(0, 0, c.primaryColumn(cfg.CPU)))
 	c.ctl, _ = cfg.Uplink.(ControlSender)
 	c.els, _ = cfg.Uplink.(ElasticLink)
 	if c.reg != nil {
@@ -1589,7 +1583,6 @@ func (c *Cluster) Report(now float64) metrics.Report {
 	rep.FencedFrames = c.fenced.Load()
 	rep.Retargets = c.retargets.Load()
 	rep.SolveMillis = c.LastSolveMillis()
-	rep.ColdSolves = c.coldSolves.Load()
 	rep.TargetFramesSent = c.framesSent.Load()
 	rep.TargetEpochLag = c.EpochLag()
 	for j := range c.replicas {

@@ -100,7 +100,7 @@ const ctlLaneCap = 64
 // isControlKind reports whether a frame kind rides the control lane.
 func isControlKind(k Kind) bool {
 	switch k {
-	case KindFeedback, KindHeartbeat, KindTargets, KindReplicaTargets, KindTargetAck:
+	case KindFeedback, KindHeartbeat, KindTargets, KindTargetAck:
 		return true
 	}
 	return false
@@ -127,7 +127,7 @@ type LinkStats struct {
 	// BatchedFrames/BatchesSent is the mean batch fill.
 	BatchedFrames int64
 	// ControlDropped counts control frames (feedback, heartbeats,
-	// targets, replica targets, acks) lost at this endpoint — control
+	// targets, acks) lost at this endpoint — control
 	// lane overflow plus write failures and frames abandoned at Close.
 	// Control frames have a reserved lane, so a data flood alone can
 	// never grow this counter.
@@ -187,8 +187,8 @@ type ResilientConn struct {
 	// the classic Dekker handshake. In steady state producers pay one
 	// atomic load.
 	sleeping atomic.Bool
-	// ctl is the reserved control lane: feedback, heartbeats, targets,
-	// replica targets and acks enqueue here, and the writer drains it
+	// ctl is the reserved control lane: feedback, heartbeats, targets
+	// and acks enqueue here, and the writer drains it
 	// with head-of-burst priority — so an outbox full of SDOs can delay
 	// a control frame by at most one write burst, never drop it.
 	ctl  chan outFrame
@@ -304,7 +304,7 @@ func (rc *ResilientConn) SendHeartbeat(hb Heartbeat) error {
 	return rc.enqueueCtl(outFrame{kind: KindHeartbeat, body: *bp, buf: bp})
 }
 
-// SendTargets enqueues one (term, epoch)-numbered target vector on the
+// SendTargets enqueues one (term, epoch)-numbered target set on the
 // control lane, or silently discards it while there is no live
 // connection: dissemination is periodic and (term, epoch)-idempotent, so
 // the next broadcast after a reconnect repairs it, while queueing targets
@@ -316,18 +316,6 @@ func (rc *ResilientConn) SendTargets(t Targets) error {
 	bp := getBuf()
 	*bp = encodeTargets((*bp)[:0], t)
 	return rc.enqueueCtl(outFrame{kind: KindTargets, body: *bp, buf: bp})
-}
-
-// SendReplicaTargets enqueues one (term, epoch)-numbered per-replica
-// target set, with the same silent-discard contract as SendTargets.
-// Never blocks.
-func (rc *ResilientConn) SendReplicaTargets(rt ReplicaTargets) error {
-	if live, err := rc.ctlLive(); !live {
-		return err
-	}
-	bp := getBuf()
-	*bp = encodeReplicaTargets((*bp)[:0], rt)
-	return rc.enqueueCtl(outFrame{kind: KindReplicaTargets, body: *bp, buf: bp})
 }
 
 // SendTargetAck enqueues one upward dissemination ack, with the same

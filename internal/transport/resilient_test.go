@@ -472,7 +472,7 @@ func TestControlLaneSurvivesDataFlood(t *testing.T) {
 		t.Fatal("data flood never overflowed an 8-frame outbox against a stalled pipe")
 	}
 	// The control lane still has room: the target frame enqueues cleanly.
-	if err := rc.SendTargets(Targets{Term: 1, Epoch: 7, CPU: []float64{0.5, 0.5}}); err != nil {
+	if err := rc.SendTargets(Targets{Term: 1, Epoch: 7, CPU: [][]float64{{0.5}, {0.5}}}); err != nil {
 		t.Fatalf("SendTargets with a full data outbox: %v", err)
 	}
 	if st := rc.Stats(); st.ControlDropped != 0 {
@@ -493,7 +493,7 @@ func TestControlLaneSurvivesDataFlood(t *testing.T) {
 	current.Load().Stall(400 * time.Millisecond)
 	ctlOverflow := false
 	for i := 0; i < 400; i++ {
-		if errors.Is(rc.SendTargets(Targets{Term: 1, Epoch: uint64(100 + i), CPU: []float64{0.5, 0.5}}), ErrOutboxFull) {
+		if errors.Is(rc.SendTargets(Targets{Term: 1, Epoch: uint64(100 + i), CPU: [][]float64{{0.5}, {0.5}}}), ErrOutboxFull) {
 			ctlOverflow = true
 		}
 	}
@@ -662,8 +662,8 @@ func TestSeverStormKeepsAccounting(t *testing.T) {
 
 // TestResilientSendsWithoutWaitingForHello: a fresh ResilientConn whose
 // peer never sends a hello, and which never reads, still batches data and
-// sends replica frames, heartbeats, targets, replica targets and acks as
-// soon as its connection is up: nothing on the send side waits on the
+// sends replica frames, heartbeats, targets and acks as soon as its
+// connection is up: nothing on the send side waits on the
 // peer's hello.
 func TestResilientSendsWithoutWaitingForHello(t *testing.T) {
 	srv := newCountingServer(t)
@@ -675,8 +675,7 @@ func TestResilientSendsWithoutWaitingForHello(t *testing.T) {
 
 	sends := []error{
 		rc.SendHeartbeat(Heartbeat{Node: 1, Seq: 1}),
-		rc.SendTargets(Targets{Term: 1, Epoch: 2, CPU: []float64{1}}),
-		rc.SendReplicaTargets(ReplicaTargets{Term: 1, Epoch: 2, CPU: [][]float64{{0.5, 0.5}}}),
+		rc.SendTargets(Targets{Term: 1, Epoch: 2, CPU: [][]float64{{0.5, 0.5}}}),
 		rc.SendTargetAck(TargetAck{Origin: 3, Term: 1, Epoch: 2}),
 	}
 	const data = 64
@@ -689,7 +688,7 @@ func TestResilientSendsWithoutWaitingForHello(t *testing.T) {
 		}
 	}
 	waitFor(t, 5*time.Second, func() bool { return srv.kinds[KindReplica].Load() == data }, "replica frames delivered")
-	for _, k := range []Kind{KindHeartbeat, KindTargets, KindReplicaTargets, KindTargetAck} {
+	for _, k := range []Kind{KindHeartbeat, KindTargets, KindTargetAck} {
 		waitFor(t, 5*time.Second, func() bool { return srv.kinds[k].Load() == 1 }, fmt.Sprintf("kind %d delivered", k))
 	}
 	if st := rc.Stats(); st.BatchesSent == 0 {

@@ -10,9 +10,8 @@
 //	hello  := version(u8)
 //	batch  := count(u32) { kind(u8) mlen(u32) member } × count
 //	hbeat  := node(i32) seq(u64)
-//	tgt    := term(u64) epoch(u64) count(u32) cpu(f64 bits) × count
+//	tgt    := term(u64) epoch(u64) peCount(u32) { slots(u32) cpu(f64 bits)×slots } × peCount
 //	rep    := pe(i32) replica(i32) data
-//	rtgt   := term(u64) epoch(u64) peCount(u32) { slots(u32) cpu(f64 bits)×slots } × peCount
 //	tack   := term(u64) origin(i32) epoch(u64)
 //
 // trace is the observability trace ID (0 = unsampled): carrying it inside
@@ -67,21 +66,18 @@ const (
 	// sending process asserts that node Node is alive. It rides the
 	// control path (never batched, like feedback).
 	KindHeartbeat
-	// KindTargets carries a (term, epoch)-numbered tier-1 CPU target
-	// vector (retargeting, paper §V-B: the optimizer re-runs periodically
-	// and the new c̄_j must reach every node). It rides the control path
-	// (never batched); receivers reject anything not ordered after the
-	// applied set, so duplicated or reordered target frames are harmless
-	// and a deposed controller's frames are fenced.
+	// KindTargets carries a (term, epoch)-numbered tier-1 target set, one
+	// row of per-replica-slot CPU targets per PE (retargeting, paper §V-B:
+	// the optimizer re-runs periodically and the new c̄_j must reach every
+	// node). It rides the control path (never batched); receivers reject
+	// anything not ordered after the applied set, so duplicated or
+	// reordered target frames are harmless and a deposed controller's
+	// frames are fenced.
 	KindTargets
 	// KindReplica is a routed data frame addressed to a specific replica
 	// of a PE (elastic parallelism): the SENDING process picks the replica
 	// by key-hash so per-key affinity survives the process boundary.
 	KindReplica
-	// KindReplicaTargets carries a (term, epoch)-numbered tier-1 target
-	// set with per-replica-slot placement — the elastic superset of
-	// KindTargets. Control path (never batched), same ordering rule.
-	KindReplicaTargets
 	// KindTargetAck flows UP the dissemination tree of the hierarchical
 	// control plane: a node that applied (or relayed) a target set reports
 	// {origin node, term, epoch} to its parent, which forwards it
@@ -91,12 +87,13 @@ const (
 	KindTargetAck
 )
 
-// protocolVersion is the only version this binary speaks. Version 3
-// carries the controller term on every target and ack frame and drops
-// the feature bits of version 2's hello.
-const protocolVersion = 3
+// protocolVersion is the only version this binary speaks. Version 4's
+// one target frame carries the per-slot matrix; version 3 also had a
+// vector form under the same kind, which a version 4 peer would
+// misparse, so the hello refuses it.
+const protocolVersion = 4
 
-// FeatureBatch is ignored: version 3 has no feature bits. It is kept,
+// FeatureBatch is ignored: the hello has no feature bits. It is kept,
 // with SendHello's parameter, only because bench/probes.go compiles
 // against it.
 const FeatureBatch uint64 = 1 << 0
@@ -116,24 +113,15 @@ type Heartbeat struct {
 	Seq  uint64
 }
 
-// Targets is an epoch-numbered tier-1 CPU target vector: CPU[j] is the
-// new c̄_j for PE j (the vector always spans the whole topology; nodes
-// apply the entries for their local PEs). Target sets are totally
+// Targets is an epoch-numbered tier-1 target set: CPU[j][r] is the new
+// c̄ of replica slot r of PE j (slot 0 is the primary, so each row's sum
+// is PE j's logical target; the set always spans the whole topology and
+// nodes apply the rows of their local PEs). Target sets are totally
 // ordered per deployment by the lexicographic (Term, Epoch) pair — a
 // receiver holding (t, e) ignores any frame ordered at or below it,
 // which makes redelivery and reordering harmless and fences frames from
 // deposed controllers. Term is 0 until a controller failover bumps it.
 type Targets struct {
-	Term  uint64
-	Epoch uint64
-	CPU   []float64
-}
-
-// ReplicaTargets is the elastic target set: CPU[j][r] is the new c̄ of
-// replica slot r of PE j (slot 0 is the primary, so collapsing each row
-// to its sum recovers a Targets vector). (Term, Epoch) ordering matches
-// Targets.
-type ReplicaTargets struct {
 	Term  uint64
 	Epoch uint64
 	CPU   [][]float64
@@ -154,13 +142,12 @@ type TargetAck struct {
 // frames are decoded into their members and hellos are consumed, so Recv
 // never yields KindBatch or KindHello.
 type Message struct {
-	Kind           Kind
-	SDO            sdo.SDO
-	Feedback       Feedback
-	Heartbeat      Heartbeat
-	Targets        Targets
-	ReplicaTargets ReplicaTargets
-	TargetAck      TargetAck
+	Kind      Kind
+	SDO       sdo.SDO
+	Feedback  Feedback
+	Heartbeat Heartbeat
+	Targets   Targets
+	TargetAck TargetAck
 	// To is the destination PE of a KindRouted or KindReplica frame.
 	To sdo.PEID
 	// Rep is the destination replica slot of a KindReplica frame.
@@ -265,7 +252,7 @@ func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadli
 func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline(t) }
 
 // SendHello announces this endpoint's protocol version; a peer speaking
-// another version refuses the connection. features is ignored (version 3
+// another version refuses the connection. features is ignored (the hello
 // has no feature bits); the parameter is kept only because
 // bench/probes.go compiles against it.
 func (c *Conn) SendHello(features uint64) error {
@@ -379,7 +366,7 @@ func encodeHeartbeat(dst []byte, hb Heartbeat) []byte {
 	return dst
 }
 
-// SendTargets writes one (term, epoch)-numbered target vector. Like
+// SendTargets writes one (term, epoch)-numbered target set. Like
 // feedback and heartbeats, target frames keep their own frames (never
 // batched): a retarget must not wait behind a data burst.
 func (c *Conn) SendTargets(t Targets) error {
@@ -390,56 +377,13 @@ func (c *Conn) SendTargets(t Targets) error {
 	return c.send(KindTargets, body)
 }
 
-// encodeTargets appends the targets-frame body to dst:
-// term(u64) epoch(u64) count(u32) cpu(f64 bits)×count.
+// encodeTargets appends the targets-frame body to dst: term(u64)
+// epoch(u64) peCount(u32) { slotCount(u32) cpu(f64 bits)×slotCount } × peCount.
 func encodeTargets(dst []byte, t Targets) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, t.Term)
 	dst = binary.BigEndian.AppendUint64(dst, t.Epoch)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(t.CPU)))
-	for _, c := range t.CPU {
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c))
-	}
-	return dst
-}
-
-// decodeTargets decodes a targets-frame body. The CPU vector is copied
-// out, so the caller may recycle the buffer immediately.
-func decodeTargets(body []byte) (Targets, error) {
-	if len(body) < 20 {
-		return Targets{}, fmt.Errorf("transport: short targets frame (%d bytes)", len(body))
-	}
-	t := Targets{Term: binary.BigEndian.Uint64(body[0:8]), Epoch: binary.BigEndian.Uint64(body[8:16])}
-	count := binary.BigEndian.Uint32(body[16:20])
-	if int(count)*8 != len(body)-20 {
-		return Targets{}, fmt.Errorf("transport: targets count %d disagrees with frame size", count)
-	}
-	if count > 0 {
-		t.CPU = make([]float64, count)
-		for i := range t.CPU {
-			t.CPU[i] = math.Float64frombits(binary.BigEndian.Uint64(body[20+8*i:]))
-		}
-	}
-	return t, nil
-}
-
-// SendReplicaTargets writes one (term, epoch)-numbered per-replica
-// target set. Control-path contract matches SendTargets: own frame,
-// never batched.
-func (c *Conn) SendReplicaTargets(rt ReplicaTargets) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body := encodeReplicaTargets((*bp)[:0], rt)
-	*bp = body[:0]
-	return c.send(KindReplicaTargets, body)
-}
-
-// encodeReplicaTargets appends the replica-targets body: term(u64)
-// epoch(u64) peCount(u32) { slotCount(u32) cpu(f64 bits)×slotCount } × peCount.
-func encodeReplicaTargets(dst []byte, rt ReplicaTargets) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, rt.Term)
-	dst = binary.BigEndian.AppendUint64(dst, rt.Epoch)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(rt.CPU)))
-	for _, row := range rt.CPU {
+	for _, row := range t.CPU {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(row)))
 		for _, c := range row {
 			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(c))
@@ -448,42 +392,42 @@ func encodeReplicaTargets(dst []byte, rt ReplicaTargets) []byte {
 	return dst
 }
 
-// decodeReplicaTargets decodes a replica-targets body. Rows are copied
-// out, so the caller may recycle the buffer immediately.
-func decodeReplicaTargets(body []byte) (ReplicaTargets, error) {
+// decodeTargets decodes a targets-frame body. Rows are copied out, so
+// the caller may recycle the buffer immediately.
+func decodeTargets(body []byte) (Targets, error) {
 	if len(body) < 20 {
-		return ReplicaTargets{}, fmt.Errorf("transport: short replica-targets frame (%d bytes)", len(body))
+		return Targets{}, fmt.Errorf("transport: short targets frame (%d bytes)", len(body))
 	}
-	rt := ReplicaTargets{Term: binary.BigEndian.Uint64(body[0:8]), Epoch: binary.BigEndian.Uint64(body[8:16])}
+	t := Targets{Term: binary.BigEndian.Uint64(body[0:8]), Epoch: binary.BigEndian.Uint64(body[8:16])}
 	peCount := binary.BigEndian.Uint32(body[16:20])
 	rest := body[20:]
 	// Every row carries at least its 4-byte slot count, so a count the
 	// body cannot hold is refused before the row table is allocated: a
 	// few bytes must not buy a peer a 96 MiB allocation.
 	if uint64(peCount) > uint64(len(rest)/4) {
-		return ReplicaTargets{}, fmt.Errorf("transport: replica-targets PE count %d out of range", peCount)
+		return Targets{}, fmt.Errorf("transport: targets PE count %d out of range", peCount)
 	}
-	rt.CPU = make([][]float64, peCount)
-	for j := uint32(0); j < peCount; j++ {
+	t.CPU = make([][]float64, peCount)
+	for j := range t.CPU {
 		if len(rest) < 4 {
-			return ReplicaTargets{}, fmt.Errorf("transport: truncated replica-targets row %d", j)
+			return Targets{}, fmt.Errorf("transport: truncated targets row %d", j)
 		}
 		n := binary.BigEndian.Uint32(rest[0:4])
 		rest = rest[4:]
 		if n > maxBatchMembers || int(n)*8 > len(rest) {
-			return ReplicaTargets{}, fmt.Errorf("transport: replica-targets row %d slot count %d out of range", j, n)
+			return Targets{}, fmt.Errorf("transport: targets row %d slot count %d out of range", j, n)
 		}
 		row := make([]float64, n)
 		for r := range row {
 			row[r] = math.Float64frombits(binary.BigEndian.Uint64(rest[8*r:]))
 		}
-		rt.CPU[j] = row
+		t.CPU[j] = row
 		rest = rest[8*n:]
 	}
 	if len(rest) != 0 {
-		return ReplicaTargets{}, fmt.Errorf("transport: %d trailing bytes after replica-targets rows", len(rest))
+		return Targets{}, fmt.Errorf("transport: %d trailing bytes after targets rows", len(rest))
 	}
-	return rt, nil
+	return t, nil
 }
 
 // SendTargetAck writes one upward ack frame. Control-path contract
@@ -736,12 +680,6 @@ func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, e
 			return Message{}, false, err
 		}
 		return Message{Kind: KindTargets, Targets: t}, false, nil
-	case KindReplicaTargets:
-		rt, err := decodeReplicaTargets(body)
-		if err != nil {
-			return Message{}, false, err
-		}
-		return Message{Kind: KindReplicaTargets, ReplicaTargets: rt}, false, nil
 	case KindTargetAck:
 		if len(body) != 20 {
 			return Message{}, false, fmt.Errorf("transport: bad target-ack frame (%d bytes)", len(body))

@@ -346,9 +346,9 @@ func TestRecvTruncatedHeader(t *testing.T) {
 
 // FuzzDecodeFrame feeds decodeFrame every non-batch frame kind with
 // arbitrary bodies (FuzzDecodeBatch covers batches): it parses bytes from
-// outside the process, so it must never panic, a decoded target vector or
-// matrix must never hold more than its body carried, and a hello of any
-// version but this binary's must be refused.
+// outside the process, so it must never panic, a decoded target matrix
+// must never hold more than its body carried, and a hello of any version
+// but this binary's must be refused.
 func FuzzDecodeFrame(f *testing.F) {
 	s := sdo.SDO{Stream: 3, Seq: 9, Origin: time.Unix(0, 5), Hops: 1, Trace: 2, Key: 4, Payload: []byte("p")}
 	data, err := encodeSDO(nil, s)
@@ -368,12 +368,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(uint8(KindReplica), replica)
 	f.Add(uint8(KindFeedback), encodeFeedback(nil, Feedback{PE: 1, RMax: 2.5}))
 	f.Add(uint8(KindHeartbeat), encodeHeartbeat(nil, Heartbeat{Node: 1, Seq: 7}))
-	f.Add(uint8(KindTargets), encodeTargets(nil, Targets{Term: 1, Epoch: 2, CPU: []float64{0.5, 0.25}}))
-	f.Add(uint8(KindReplicaTargets), encodeReplicaTargets(nil, ReplicaTargets{Term: 1, Epoch: 2, CPU: [][]float64{{0.5}, {}, {0.1, 0.2}}}))
+	ragged := encodeTargets(nil, Targets{Term: 1, Epoch: 2, CPU: [][]float64{{0.5}, {}, {0.1, 0.2}}})
+	f.Add(uint8(KindTargets), ragged)
 	f.Add(uint8(KindTargetAck), encodeTargetAck(nil, TargetAck{Origin: 3, Term: 1, Epoch: 2}))
 	f.Add(uint8(KindHello), []byte{protocolVersion})
-	// A header claiming 4,194,304 replica-target rows and carrying none.
-	f.Add(uint8(KindReplicaTargets), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0x40, 0, 0})
+	// A header claiming 4,194,304 target rows and carrying none, then the
+	// same claim in a 12-byte body (epoch and row count, no term).
+	f.Add(uint8(KindTargets), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0x40, 0, 0})
+	f.Add(uint8(KindTargets), []byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0x40, 0, 0})
+	// The ragged body with its last row cut short by one slot.
+	f.Add(uint8(KindTargets), ragged[:len(ragged)-8])
 	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		if Kind(kind) == KindBatch {
 			return
@@ -385,12 +389,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		switch Kind(kind) {
 		case KindTargets:
-			if 8*len(msg.Targets.CPU) > len(body) {
-				t.Fatalf("%d-byte body decoded into %d targets", len(body), len(msg.Targets.CPU))
-			}
-		case KindReplicaTargets:
-			need := 4 * len(msg.ReplicaTargets.CPU)
-			for _, row := range msg.ReplicaTargets.CPU {
+			need := 4 * len(msg.Targets.CPU)
+			for _, row := range msg.Targets.CPU {
 				need += 8 * len(row)
 			}
 			if need > len(body) {

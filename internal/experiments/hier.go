@@ -58,15 +58,6 @@ type HierOptions struct {
 	SimPEs      int
 	SimDuration float64
 	SimEvery    float64
-	// GradPEs scales the gradient-engine acceptance row (default 1000,
-	// the scale the adjoint-gradient criterion is stated at); GradIters
-	// is both engines' iteration budget (default 2500) and
-	// GradFDDeadline caps the finite-difference reference solve — left
-	// uncapped it runs for minutes (default 30s full, 8s quick; the
-	// analytic solve needs no cap).
-	GradPEs        int
-	GradIters      int
-	GradFDDeadline time.Duration
 	// Quick shrinks the ladder and the simulation for tests.
 	Quick bool
 }
@@ -83,12 +74,6 @@ func (o *HierOptions) fillDefaults() {
 		}
 		if o.SimDuration <= 0 {
 			o.SimDuration = 5
-		}
-		if o.GradFDDeadline <= 0 {
-			// Bounds CI cost while leaving the ≥10× wall-time gate an ample
-			// machine-speed margin (the analytic solve runs ~100-200ms at
-			// this scale on a developer box).
-			o.GradFDDeadline = 8 * time.Second
 		}
 	}
 	if len(o.Scales) == 0 {
@@ -107,9 +92,9 @@ func (o *HierOptions) fillDefaults() {
 		o.MonoIters = 2500
 	}
 	if o.RegionIters <= 0 {
-		// Sized for the analytic gradient: a region iteration costs a
-		// handful of propagations instead of region-size, so the budget
-		// buys convergence inside the same sweep deadline.
+		// A region iteration costs a handful of propagations (adjoint
+		// gradient plus line search), so the budget buys convergence
+		// inside the sweep deadline.
 		o.RegionIters = 400
 	}
 	if o.Sweeps <= 0 {
@@ -126,15 +111,6 @@ func (o *HierOptions) fillDefaults() {
 	}
 	if o.SimEvery <= 0 {
 		o.SimEvery = 2.5
-	}
-	if o.GradPEs <= 0 {
-		o.GradPEs = 1000
-	}
-	if o.GradIters <= 0 {
-		o.GradIters = 2500
-	}
-	if o.GradFDDeadline <= 0 {
-		o.GradFDDeadline = 30 * time.Second
 	}
 }
 
@@ -170,27 +146,6 @@ type HierScaleRow struct {
 	HierFrac float64 `json:"hier_frac"`
 }
 
-// GradScaleRow is the gradient-engine acceptance row: one generated
-// topology at GradPEs solved twice with identical budgets — the analytic
-// adjoint engine to convergence, and the finite-difference reference under
-// GradFDDeadline (uncapped it runs for minutes; the cap is exactly the
-// O(p²) wall the adjoint removes). Evals counts full fluid propagations,
-// the machine-independent cost unit behind the wall-time ratio.
-type GradScaleRow struct {
-	PEs      int     `json:"pes"`
-	AnMillis float64 `json:"analytic_ms"`
-	AnEvals  int     `json:"analytic_evals"`
-	AnWT     float64 `json:"analytic_wt"`
-	FDMillis float64 `json:"fd_ms"`
-	FDEvals  int     `json:"fd_evals"`
-	FDWT     float64 `json:"fd_wt"`
-	// Speedup is fd_ms / analytic_ms; Frac is analytic_wt / fd_wt. The
-	// acceptance gate requires Frac ≥ 0.99 (within 1% of the reference
-	// objective) and Speedup ≥ 10.
-	Speedup float64 `json:"speedup"`
-	Frac    float64 `json:"frac"`
-}
-
 // HierSimRow is the end-to-end validation run: simulated weighted
 // throughput under uniform (never retargeted), monolithic-retargeted and
 // hierarchically-retargeted targets, all re-solving on the same period
@@ -211,15 +166,13 @@ type HierSimRow struct {
 type HierResult struct {
 	DeadlineMS float64        `json:"deadline_ms"`
 	Scales     []HierScaleRow `json:"scales"`
-	Grad       GradScaleRow   `json:"grad"`
 	Sim        HierSimRow     `json:"sim"`
 	// OK is the acceptance verdict: every ladder point has the
 	// hierarchical solve within its deadline at ≥ 95% of the monolithic
 	// weighted throughput where the monolithic solve converged (≥ 90%
-	// where even its 4× budget truncated it), the analytic gradient
-	// engine lands within 1% of the finite-difference reference in ≥ 10×
-	// less wall time, and the simulated deployment under hierarchical
-	// targets reaches ≥ 95% of the monolithic-retargeted run.
+	// where even its 4× budget truncated it), and the simulated deployment
+	// under hierarchical targets reaches ≥ 95% of the monolithic-
+	// retargeted run.
 	OK bool `json:"ok"`
 }
 
@@ -322,12 +275,6 @@ func RunHier(o HierOptions) (HierResult, error) {
 		res.Scales = append(res.Scales, row)
 	}
 
-	grad, err := runGradRow(o)
-	if err != nil {
-		return res, err
-	}
-	res.Grad = grad
-
 	sim, err := runHierSim(o)
 	if err != nil {
 		return res, err
@@ -340,54 +287,10 @@ func RunHier(o HierOptions) (HierResult, error) {
 			res.OK = false
 		}
 	}
-	if res.Grad.Frac < 0.99 || res.Grad.Speedup < 10 {
-		res.OK = false
-	}
 	if res.Sim.SimFrac < 0.95 {
 		res.OK = false
 	}
 	return res, nil
-}
-
-// runGradRow solves the GradPEs-scale topology with both gradient engines
-// under the same iteration budget and MinShare/utility configuration —
-// the acceptance measurement behind Config.Gradient's analytic default.
-func runGradRow(o HierOptions) (GradScaleRow, error) {
-	pes := o.GradPEs
-	nodes := pes / o.PEsPerNode
-	if nodes < 1 {
-		nodes = 1
-	}
-	row := GradScaleRow{PEs: pes}
-	topo, err := graph.Generate(graph.DefaultGenConfig(pes, nodes, o.Seed))
-	if err != nil {
-		return row, fmt.Errorf("grad row: %w", err)
-	}
-	base := optimize.Config{
-		MaxIters: o.GradIters,
-		Utility:  optimize.LinearUtility{},
-		MinShare: 0.02,
-	}
-	an, err := optimize.Solve(topo, base)
-	if err != nil {
-		return row, fmt.Errorf("grad row: analytic solve: %w", err)
-	}
-	fdCfg := base
-	fdCfg.Gradient = optimize.GradientFiniteDiff
-	fdCfg.Deadline = o.GradFDDeadline
-	fd, err := optimize.Solve(topo, fdCfg)
-	if err != nil {
-		return row, fmt.Errorf("grad row: finite-difference solve: %w", err)
-	}
-	row.AnMillis, row.AnEvals, row.AnWT = an.SolveMillis, an.Evals, an.WeightedThroughput
-	row.FDMillis, row.FDEvals, row.FDWT = fd.SolveMillis, fd.Evals, fd.WeightedThroughput
-	if row.AnMillis > 0 {
-		row.Speedup = row.FDMillis / row.AnMillis
-	}
-	if row.FDWT > 0 {
-		row.Frac = row.AnWT / row.FDWT
-	}
-	return row, nil
 }
 
 // runHierSim drives the largest deployment in the calibrated simulator
@@ -512,11 +415,6 @@ func FormatHier(w io.Writer, res HierResult) {
 	}
 	Table(w, fmt.Sprintf("E13 — hierarchical control plane: regional solves + priced cuts vs monolithic (deadline %.0f ms)", res.DeadlineMS),
 		[]string{"pes", "nodes", "regions", "cut", "mono ms", "hier ms", "sweeps", "mono wt", "hier wt", "hier/mono", "bar"}, rows)
-	g := res.Grad
-	if g.PEs > 0 {
-		fmt.Fprintf(w, "  grad engine @ %d PEs: analytic %.0f ms / %d evals (wt %.0f) vs finite-diff %.0f ms / %d evals (wt %.0f) — %.0f× faster at %.2f%% of the reference\n",
-			g.PEs, g.AnMillis, g.AnEvals, g.AnWT, g.FDMillis, g.FDEvals, g.FDWT, g.Speedup, 100*g.Frac)
-	}
 	s := res.Sim
 	fmt.Fprintf(w, "  sim %d PEs / %d nodes, %d retarget epochs: uniform %.0f → mono %.0f, hier %.0f w/s (hier/mono %.1f%%)\n",
 		s.PEs, s.Nodes, s.Epochs, s.UniformWT, s.MonoWT, s.HierWT, 100*s.SimFrac)
@@ -524,5 +422,5 @@ func FormatHier(w io.Writer, res HierResult) {
 	if !res.OK {
 		verdict = "FAILED"
 	}
-	fmt.Fprintf(w, "  verdict: %s (gate: hier within deadline and ≥ bar at every scale — 95%% vs a converged mono, 90%% vs a 4×-budget truncated one — grad ≥ 99%% at ≥ 10×, and sim ≥ 95%%)\n\n", verdict)
+	fmt.Fprintf(w, "  verdict: %s (gate: hier within deadline and ≥ bar at every scale — 95%% vs a converged mono, 90%% vs a 4×-budget truncated one — and sim ≥ 95%%)\n\n", verdict)
 }

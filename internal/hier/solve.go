@@ -88,11 +88,9 @@ type Config struct {
 
 func (c *Config) fillDefaults() {
 	if c.Optimize.MaxIters <= 0 {
-		// Sized for the analytic gradient engine: the same budget under
-		// finite differences would cost ~p propagations per iteration and
-		// blow any realistic epoch deadline (the self-pacing would skip
-		// most sweeps); callers pinning GradientFiniteDiff should size
-		// MaxIters down themselves.
+		// An iteration costs a handful of propagations (adjoint gradient
+		// plus line search), so this budget fits an epoch deadline at
+		// regional scale.
 		c.Optimize.MaxIters = 1200
 	}
 	if c.Sweeps <= 0 {

@@ -52,19 +52,6 @@ import (
 	"aces/internal/sdo"
 )
 
-// GradientMode selects the solver's gradient engine.
-type GradientMode int
-
-const (
-	// GradientAnalytic (the default) computes each gradient with one
-	// adjoint backward sweep — O(p) per iteration.
-	GradientAnalytic GradientMode = iota
-	// GradientFiniteDiff retains the forward/central-difference reference
-	// implementation — O(p²) per iteration. The gradient-check harness
-	// pins the analytic engine against it.
-	GradientFiniteDiff
-)
-
 // UtilityDeriv is the optional derivative extension of Utility. The
 // adjoint engine uses it when present and falls back to a central
 // difference on the SCALAR utility (cheap — no fluid propagation) for
@@ -116,16 +103,14 @@ func utilityDeriv(u Utility, x float64) float64 {
 }
 
 // adjoint is the solver's fluid-model workspace: a forward pass that
-// matches propagate/propagateElastic exactly while recording active
-// branches, plus the reverse sweep. All scratch is allocated once per
-// Solve, so the hot ascent loop performs zero allocations per evaluation
-// (propagate itself re-allocates rate vectors and a join map every call).
+// matches propagate exactly while recording active branches, plus the
+// reverse sweep. All scratch is allocated once per solve, so the hot
+// ascent loop performs zero allocations per evaluation (propagate itself
+// re-allocates rate vectors and a join map every call).
 type adjoint struct {
 	t     *graph.Topology
 	order []sdo.PEID
-	// slotOf maps PE → flat slot indices for elastic solves; nil in plain
-	// mode, where the decision vector is indexed by PE.
-	slotOf [][]int
+	first []int // PE j's slots are first[j] ≤ i < first[j+1]
 
 	// Static per-PE model terms, snapshotted at construction.
 	src  []float64 // direct source rate feeding each PE
@@ -144,13 +129,12 @@ type adjoint struct {
 	evals int
 }
 
-// newAdjoint builds a workspace for the topology. slotOf selects elastic
-// mode (decision vector = flat replica slots); nil selects plain per-PE
-// mode.
-func newAdjoint(t *graph.Topology, order []sdo.PEID, slotOf [][]int) *adjoint {
+// newAdjoint builds a workspace for the topology over the slot layout
+// first.
+func newAdjoint(t *graph.Topology, order []sdo.PEID, first []int) *adjoint {
 	p := t.NumPEs()
 	a := &adjoint{
-		t: t, order: order, slotOf: slotOf,
+		t: t, order: order, first: first,
 		src: make([]float64, p), cost: make([]float64, p), mult: make([]float64, p),
 		rin: make([]float64, p), rout: make([]float64, p),
 		capped: make([]bool, p), dead: make([]bool, p), argmin: make([]int32, p),
@@ -171,7 +155,7 @@ func newAdjoint(t *graph.Topology, order []sdo.PEID, slotOf [][]int) *adjoint {
 }
 
 // forward runs the fluid propagation at x, recording the active branch of
-// every min(). Semantically identical to propagate/propagateElastic: in
+// every min(). Semantically identical to propagate: in
 // topological order every upstream is settled before its consumers, so a
 // join's feeds are exactly the outputs of its upstream PEs and a non-join's
 // availability is its source rate plus the sum of upstream copies.
@@ -180,15 +164,9 @@ func (a *adjoint) forward(x []float64) {
 	for _, j := range a.order {
 		pe := &t.PEs[j]
 		var cap float64
-		if a.slotOf == nil {
-			if v := x[j]/a.cost[j] - pe.Overhead; v > 0 {
-				cap = v
-			}
-		} else {
-			for _, i := range a.slotOf[j] {
-				if v := x[i]/a.cost[j] - pe.Overhead; v > 0 {
-					cap += v
-				}
+		for _, xi := range x[a.first[j]:a.first[j+1]] {
+			if v := xi/a.cost[j] - pe.Overhead; v > 0 {
+				cap += v
 			}
 		}
 		var flow float64
@@ -251,8 +229,7 @@ func (a *adjoint) eval(x []float64, util Utility) float64 {
 }
 
 // evalGrad computes the objective AND its full gradient with one forward
-// and one backward sweep. grad must be sized for the decision vector
-// (p entries in plain mode, one per flat slot in elastic mode).
+// and one backward sweep. grad has one entry per slot.
 func (a *adjoint) evalGrad(x []float64, util Utility, grad []float64) float64 {
 	a.forward(x)
 	obj := a.objective(util)
@@ -290,13 +267,7 @@ func (a *adjoint) backward(x []float64, util Utility, grad []float64) {
 		}
 		adIn := ad * a.mult[j]
 		if a.capped[j] {
-			if a.slotOf == nil {
-				if x[j]/a.cost[j]-pe.Overhead >= 0 {
-					grad[j] += adIn / a.cost[j]
-				}
-				continue
-			}
-			for _, i := range a.slotOf[j] {
+			for i := a.first[j]; i < a.first[j+1]; i++ {
 				if x[i]/a.cost[j]-pe.Overhead >= 0 {
 					grad[i] += adIn / a.cost[j]
 				}
@@ -315,34 +286,15 @@ func (a *adjoint) backward(x []float64, util Utility, grad []float64) {
 	}
 }
 
-// projector reuses the scratch behind the per-node simplex projections.
-// The ascent loop projects every trial point, and the package-level
-// projectNodes/projectSimplex pair allocated gather buffers, a sort copy
-// and an output vector per node per call — per-iteration garbage that
-// dominated solver allocations. A projector also precomputes the node→PE
-// index once: Topology.OnNode scans all p PEs per node, which made one
-// projection O(p·nodes).
+// projector projects a decision vector onto the per-node capacity
+// simplices, reusing its gather and sort scratch: the ascent projects every
+// trial point, so per-call buffers would be per-iteration garbage.
 type projector struct {
 	// groups[g] lists the decision-vector indices sharing node g's
 	// capacity simplex.
 	groups [][]int
 	vals   []float64 // gather scratch
 	sorted []float64 // descending sort scratch for the threshold search
-}
-
-// newNodeProjector indexes the plain solver's per-node PE groups.
-func newNodeProjector(t *graph.Topology) *projector {
-	groups := make([][]int, t.NumNodes)
-	for j := range t.PEs {
-		n := t.PEs[j].Node
-		groups[n] = append(groups[n], j)
-	}
-	return &projector{groups: groups}
-}
-
-// newSlotProjector wraps the elastic solver's node→slot index.
-func newSlotProjector(nodeSlots [][]int) *projector {
-	return &projector{groups: nodeSlots}
 }
 
 // project projects x's entries, group by group, onto {v ≥ 0, Σ v ≤

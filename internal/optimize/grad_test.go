@@ -2,8 +2,8 @@ package optimize
 
 import (
 	"math"
+	"sort"
 	"testing"
-	"time"
 
 	"aces/internal/graph"
 	"aces/internal/sdo"
@@ -36,10 +36,18 @@ func richDAG(t testing.TB, seed int64, p, nodes int, elastic bool) *graph.Topolo
 			// Fan in from 1–3 strictly-earlier PEs (never an ingress-only
 			// constraint issue: source targets stay upstream-free).
 			fanin := 1 + rng.Intn(3)
-			ups := map[sdo.PEID]bool{}
+			seen := map[sdo.PEID]bool{}
+			var ups []sdo.PEID
 			for f := 0; f < fanin; f++ {
-				ups[sdo.PEID(rng.Intn(j))] = true
+				if u := sdo.PEID(rng.Intn(j)); !seen[u] {
+					seen[u] = true
+					ups = append(ups, u)
+				}
 			}
+			// Connect in ascending order: Up() order is the join tie-break,
+			// so map order would make a seeded topology's iterates differ
+			// in the last bit from run to run.
+			sort.Slice(ups, func(a, b int) bool { return ups[a] < ups[b] })
 			if len(ups) >= 2 && rng.Float64() < 0.35 {
 				pe.Join = true
 			}
@@ -53,7 +61,7 @@ func richDAG(t testing.TB, seed int64, p, nodes int, elastic bool) *graph.Topolo
 				pe.MaxReplicas = 2 + rng.Intn(2)
 			}
 			id := topo.AddPE(pe)
-			for u := range ups {
+			for _, u := range ups {
 				if err := topo.Connect(u, id); err != nil {
 					t.Fatal(err)
 				}
@@ -81,27 +89,16 @@ func richDAG(t testing.TB, seed int64, p, nodes int, elastic bool) *graph.Topolo
 	return topo
 }
 
-// elasticWorkspace flattens the replica placement the way SolveElastic
-// does and returns the adjoint plus the slot projector's node groups.
-func elasticWorkspace(t testing.TB, topo *graph.Topology) (*adjoint, [][]int, int) {
+// workspace returns the adjoint over the topology's slot layout (one slot
+// per PE, or per replica slot when elastic) plus each node's slot group.
+func workspace(t testing.TB, topo *graph.Topology, elastic bool) (*adjoint, [][]int) {
 	t.Helper()
 	order, err := topo.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := topo.NumPEs()
-	slotOf := make([][]int, p)
-	nodeSlots := make([][]int, topo.NumNodes)
-	ns := 0
-	for j := 0; j < p; j++ {
-		for _, n := range topo.ReplicaPlacement(sdo.PEID(j)) {
-			slotOf[j] = append(slotOf[j], ns)
-			nodeSlots[n] = append(nodeSlots[n], ns)
-			ns++
-		}
-	}
-	ws := newAdjoint(topo, order, slotOf)
-	return ws, nodeSlots, ns
+	first := slotLayout(topo, elastic)
+	return newAdjoint(topo, order, first), nodeGroups(topo, first)
 }
 
 // TestGradientCheck pins the adjoint gradient against central differences
@@ -139,19 +136,10 @@ func TestGradientCheck(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			topo := richDAG(t, tc.seed, tc.p, tc.nodes, tc.elastic)
-			var ws *adjoint
-			var groups [][]int
-			var n int
-			if tc.elastic {
-				ws, groups, n = elasticWorkspace(t, topo)
-			} else {
-				order, err := topo.TopoOrder()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ws = newAdjoint(topo, order, nil)
-				n = topo.NumPEs()
-				groups = newNodeProjector(topo).groups
+			ws, groups := workspace(t, topo, tc.elastic)
+			n := 0
+			for _, ids := range groups {
+				n += len(ids)
 			}
 			pj := &projector{groups: groups}
 			rng := sim.NewRand(tc.seed * 7919)
@@ -202,16 +190,20 @@ func TestGradientCheck(t *testing.T) {
 	}
 }
 
-// referenceSolveFD replays the PRE-carry-forward finite-difference solver:
-// the historical loop re-derived the base objective with a full propagation
-// at the top of every iteration (base := eval(c)) before the forward-
-// difference gradient. Everything else — line search, step adaptation,
-// phase-2 polish, projection — matches Solve's GradientFiniteDiff path.
-func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) {
+// referenceSolveFD is the finite-difference reference solver the adjoint
+// engine replaced: the same cold start, line search, step adaptation,
+// phase-2 polish, projection and MinShare as Solve, but every gradient is
+// a difference quotient — p propagations per phase-1 iteration (forward
+// differences against a re-evaluated base) and 2p per phase-2 step
+// (central differences). It returns the final CPU vector, its
+// re-propagated objective and the propagations spent.
+func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, obj float64, evals int) {
 	cfg.fillDefaults()
-	order, _ := t.TopoOrder()
 	p := t.NumPEs()
-	pj := newNodeProjector(t)
+	order, _ := t.TopoOrder()
+	first := slotLayout(t, false)
+	ws := newAdjoint(t, order, first)
+	pj := &projector{groups: nodeGroups(t, first)}
 	c := make([]float64, p)
 	demand, _ := t.UnitDemand()
 	nodeSum := make([]float64, t.NumNodes)
@@ -222,7 +214,6 @@ func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) 
 	for j := 0; j < p; j++ {
 		c[j] *= 0.95 * cfg.Headroom / nodeSum[t.PEs[j].Node]
 	}
-	ws := newAdjoint(t, order, nil)
 	eval := func(c []float64) float64 { return ws.eval(c, cfg.Utility) }
 	best := make([]float64, p)
 	copy(best, c)
@@ -234,7 +225,7 @@ func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) 
 	iters := 0
 	for it := 1; it <= cfg.MaxIters; it++ {
 		iters = it
-		base := eval(c) // the redundant re-evaluation under test
+		base := eval(c)
 		const h = 1e-7
 		for j := 0; j < p; j++ {
 			old := c[j]
@@ -242,11 +233,7 @@ func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) 
 			grad[j] = (eval(c) - base) / h
 			c[j] = old
 		}
-		gnorm := 0.0
-		for _, g := range grad {
-			gnorm += g * g
-		}
-		gnorm = math.Sqrt(gnorm)
+		gnorm := norm(grad)
 		if gnorm < 1e-14 {
 			break
 		}
@@ -262,10 +249,7 @@ func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) 
 					bestObj = obj
 					copy(best, c)
 				}
-				step *= 1.25
-				if step > 0.25 {
-					step = 0.25
-				}
+				step = min(step*1.25, 0.25)
 				improved = true
 				break
 			}
@@ -285,10 +269,7 @@ func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) 
 		}
 	}
 	copy(c, best)
-	subIters := cfg.MaxIters - iters
-	if subIters > 3000 {
-		subIters = 3000
-	}
+	subIters := min(cfg.MaxIters-iters, 3000)
 	for it := 1; it <= subIters; it++ {
 		const h = 1e-7
 		for j := 0; j < p; j++ {
@@ -300,11 +281,7 @@ func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) 
 			c[j] = old
 			grad[j] = (up - down) / (2 * h)
 		}
-		gnorm := 0.0
-		for _, g := range grad {
-			gnorm += g * g
-		}
-		gnorm = math.Sqrt(gnorm)
+		gnorm := norm(grad)
 		if gnorm < 1e-14 {
 			break
 		}
@@ -318,41 +295,17 @@ func referenceSolveFD(t *graph.Topology, cfg Config) (cpu []float64, evals int) 
 			copy(best, c)
 		}
 	}
-	return best, ws.evals
+	if cfg.MinShare > 0 {
+		applyMinShare(t, best, cfg.MinShare, cfg.Headroom)
+	}
+	return best, eval(best), ws.evals
 }
 
-// TestCarryForwardMatchesReference proves the eval(c)-per-iteration
-// elimination changes NOTHING but the eval count: Solve's finite-difference
-// path (which carries the accepted line-search objective forward) produces
-// bit-identical iterates to the historical always-re-evaluate loop on a
-// seeded topology, while spending strictly fewer propagations.
-func TestCarryForwardMatchesReference(t *testing.T) {
-	topo := richDAG(t, 42, 24, 4, false)
-	cfg := Config{Utility: LinearUtility{}, MaxIters: 120, Gradient: GradientFiniteDiff}
-	refCPU, refEvals := referenceSolveFD(topo, cfg)
-	alloc, err := Solve(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range refCPU {
-		if alloc.CPU[j] != refCPU[j] {
-			t.Fatalf("iterate diverged at PE %d: carry-forward %.17g vs reference %.17g",
-				j, alloc.CPU[j], refCPU[j])
-		}
-	}
-	// Solve's final Objective recompute adds one forward pass; the carry-
-	// forward still nets one saved propagation per phase-1 iteration.
-	if alloc.Evals >= refEvals {
-		t.Errorf("carry-forward used %d evals, reference %d — no propagation saved", alloc.Evals, refEvals)
-	}
-	t.Logf("evals: carry-forward %d vs reference %d", alloc.Evals, refEvals)
-}
-
-// TestAnalyticMatchesFiniteDiffQuality runs both gradient engines to
-// convergence on a generated p=200 topology: the analytic solve must land
-// within 1% of the finite-difference objective while spending at least 10×
-// fewer propagations (the deterministic stand-in for the wall-clock
-// criterion; the E13 bench gate measures the p=1000 wall times).
+// TestAnalyticMatchesFiniteDiffQuality runs Solve and the finite-
+// difference reference to convergence on a generated p=200 topology: the
+// adjoint solve must land within 1% of the reference objective while
+// spending at least 10× fewer propagations (a deterministic stand-in for
+// the wall-clock gain).
 func TestAnalyticMatchesFiniteDiffQuality(t *testing.T) {
 	topo, err := graph.Generate(graph.DefaultGenConfig(200, 20, 99))
 	if err != nil {
@@ -363,19 +316,15 @@ func TestAnalyticMatchesFiniteDiffQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Gradient = GradientFiniteDiff
-	fd, err := Solve(topo, cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, fdObj, fdEvals := referenceSolveFD(topo, cfg)
+	if an.Objective < 0.99*fdObj {
+		t.Errorf("analytic objective %.4f below 99%% of finite-difference %.4f", an.Objective, fdObj)
 	}
-	if an.Objective < 0.99*fd.Objective {
-		t.Errorf("analytic objective %.4f below 99%% of finite-difference %.4f", an.Objective, fd.Objective)
-	}
-	if 10*an.Evals > fd.Evals {
-		t.Errorf("analytic used %d evals, finite-difference %d — want ≥ 10× fewer", an.Evals, fd.Evals)
+	if 10*an.Evals > fdEvals {
+		t.Errorf("analytic used %d evals, finite-difference %d — want ≥ 10× fewer", an.Evals, fdEvals)
 	}
 	t.Logf("objective: analytic %.2f (%d evals) vs fd %.2f (%d evals)",
-		an.Objective, an.Evals, fd.Objective, fd.Evals)
+		an.Objective, an.Evals, fdObj, fdEvals)
 }
 
 // TestSolveObjectiveMatchesRepropagation is the MinShare staleness
@@ -401,32 +350,30 @@ func TestSolveObjectiveMatchesRepropagation(t *testing.T) {
 	if err := topo.AddSource(graph.Source{Stream: 1, Target: a, Rate: 1000, Burst: graph.BurstSpec{Kind: graph.BurstPoisson}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, gm := range []GradientMode{GradientAnalytic, GradientFiniteDiff} {
-		base, err := Solve(topo, Config{Utility: LinearUtility{}, Gradient: gm})
-		if err != nil {
-			t.Fatal(err)
+	base, err := Solve(topo, Config{Utility: LinearUtility{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floored, err := Solve(topo, Config{Utility: LinearUtility{}, MinShare: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if floored.Objective >= base.Objective-1e-6 {
+		t.Fatalf("MinShare did not reduce the objective (%.6f vs %.6f) — regression scenario lost its bite",
+			floored.Objective, base.Objective)
+	}
+	_, rout, err := Propagate(topo, floored.CPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for j := range topo.PEs {
+		if w := topo.PEs[j].Weight; w > 0 {
+			want += w * (LinearUtility{}).Value(rout[j])
 		}
-		floored, err := Solve(topo, Config{Utility: LinearUtility{}, MinShare: 0.25, Gradient: gm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if floored.Objective >= base.Objective-1e-6 {
-			t.Fatalf("gm=%d: MinShare did not reduce the objective (%.6f vs %.6f) — regression scenario lost its bite",
-				gm, floored.Objective, base.Objective)
-		}
-		_, rout, err := Propagate(topo, floored.CPU)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0.0
-		for j := range topo.PEs {
-			if w := topo.PEs[j].Weight; w > 0 {
-				want += w * (LinearUtility{}).Value(rout[j])
-			}
-		}
-		if diff := math.Abs(floored.Objective - want); diff > 1e-9*(math.Abs(want)+1) {
-			t.Errorf("gm=%d: Objective %.12f but re-propagating the returned CPU gives %.12f", gm, floored.Objective, want)
-		}
+	}
+	if diff := math.Abs(floored.Objective - want); diff > 1e-9*(math.Abs(want)+1) {
+		t.Errorf("Objective %.12f but re-propagating the returned CPU gives %.12f", floored.Objective, want)
 	}
 }
 
@@ -528,7 +475,7 @@ func TestColdStartFlagElastic(t *testing.T) {
 // warm-up call the per-node simplex projection must not allocate.
 func TestProjectorZeroAlloc(t *testing.T) {
 	topo := richDAG(t, 11, 40, 6, false)
-	pj := newNodeProjector(topo)
+	pj := &projector{groups: nodeGroups(topo, slotLayout(topo, false))}
 	rng := sim.NewRand(3)
 	x := make([]float64, topo.NumPEs())
 	for i := range x {
@@ -550,11 +497,7 @@ func TestProjectorZeroAlloc(t *testing.T) {
 // sweep (the per-iteration cost of the analytic engine) must not allocate.
 func TestAdjointEvalZeroAlloc(t *testing.T) {
 	topo := richDAG(t, 12, 40, 6, false)
-	order, err := topo.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := newAdjoint(topo, order, nil)
+	ws, _ := workspace(t, topo, false)
 	x := make([]float64, topo.NumPEs())
 	grad := make([]float64, topo.NumPEs())
 	rng := sim.NewRand(4)
@@ -569,25 +512,6 @@ func TestAdjointEvalZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("evalGrad allocates %.1f times per call, want 0", allocs)
-	}
-}
-
-// TestSolveDeadlineStillHonoredFD keeps the deadline polling inside the
-// finite-difference gradient loop covered now that it is mode-gated.
-func TestSolveDeadlineStillHonoredFD(t *testing.T) {
-	topo, err := graph.Generate(graph.DefaultGenConfig(400, 40, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	alloc, err := Solve(topo, Config{
-		Utility: LinearUtility{}, MaxIters: 100000,
-		Gradient: GradientFiniteDiff, Deadline: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !alloc.DeadlineExceeded {
-		t.Errorf("50ms deadline on a p=400 finite-difference solve not reported exceeded")
 	}
 }
 

@@ -19,7 +19,6 @@
 package optimize
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -104,12 +103,12 @@ type Allocation struct {
 	// Iterations actually used by the solver.
 	Iterations int
 	// Evals counts full fluid propagations the solver performed — its
-	// dominant cost unit. One analytic-gradient iteration costs a handful
-	// (gradient + line search); one finite-difference iteration costs p.
+	// dominant cost unit. A phase-1 iteration costs one for the gradient
+	// plus one per line-search trial; a phase-2 step costs one.
 	Evals int
 	// ColdStart reports that the solver started from the demand-
-	// proportional cold point: no WarmStart was supplied, or its shape did
-	// not match the topology (a silent fallback the control_epoch
+	// proportional cold point: no warm start was supplied, or its shape
+	// did not match the topology (a silent fallback the control_epoch
 	// benchmark fails a warm solve for).
 	ColdStart bool
 	// SolveMillis is the wall-clock solve time in milliseconds.
@@ -126,8 +125,10 @@ type Config struct {
 	Utility Utility
 	// MaxIters bounds gradient iterations (default 4000).
 	MaxIters int
-	// Tol stops when the relative objective improvement over a 25-iteration
-	// window falls below it (default 1e-9).
+	// Tol ends phase 1 (the line-search ascent) when the relative
+	// objective improvement over a 25-iteration window falls below it
+	// (default 1e-9). It ends phase 1 only: the subgradient phase 2 always
+	// runs min(MaxIters − iterations, 3000) steps.
 	Tol float64
 	// Headroom caps each node's total allocation at this value instead of
 	// 1.0, reserving CPU for system overhead (default 1.0 — no reserve).
@@ -137,6 +138,7 @@ type Config struct {
 	// utility legitimately starves weight-inefficient PEs toward zero; a
 	// deployed PE still needs a minimum slice to make progress, and a
 	// zero allocation would wedge blocking policies forever. 0 disables.
+	// Solve applies it; SolveElastic does not.
 	MinShare float64
 	// WarmStart, when it has one entry per PE, replaces the cold
 	// demand-proportional initial point: the solver starts from this
@@ -149,11 +151,6 @@ type Config struct {
 	// slot incumbents, shaped like the topology's replica placement. Solve
 	// ignores it.
 	WarmStartReplica [][]float64
-	// Gradient selects the gradient engine: GradientAnalytic (the zero
-	// value) computes each gradient with one adjoint backward sweep;
-	// GradientFiniteDiff retains the O(p²) difference-quotient reference
-	// the gradient-check harness pins the adjoint against.
-	Gradient GradientMode
 	// Deadline bounds the solver's wall-clock time (0 = unbounded). When
 	// it expires the solver stops at the end of the current iteration and
 	// returns the best iterate found so far with DeadlineExceeded set —
@@ -179,262 +176,26 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Solve computes the tier-1 allocation for a validated topology.
+// Solve computes the tier-1 allocation for a validated topology: one slot
+// per PE, warm-started from WarmStart when it has one entry per PE, then
+// MinShare applied.
 func Solve(t *graph.Topology, cfg Config) (*Allocation, error) {
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("optimize: %w", err)
-	}
-	cfg.fillDefaults()
-	order, err := t.TopoOrder()
+	a, err := newAscent(t, cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	p := t.NumPEs()
-
-	start := time.Now()
-	deadlineHit := false
-	expired := func() bool {
-		if cfg.Deadline <= 0 || time.Since(start) < cfg.Deadline {
-			return false
-		}
-		deadlineHit = true
-		return true
+	var warm []float64
+	if len(cfg.WarmStart) == t.NumPEs() {
+		warm = cfg.WarmStart
 	}
-
-	// Initial point: the warm-start incumbent when one is supplied (made
-	// feasible by projection), otherwise each node's budget is allocated
-	// proportionally to the unit-load CPU demand of its PEs — feasible and
-	// in the interior.
-	pj := newNodeProjector(t)
-	cold := len(cfg.WarmStart) != p
-	c := make([]float64, p)
-	if !cold {
-		copy(c, cfg.WarmStart)
-		for j := range c {
-			if c[j] < 0 || math.IsNaN(c[j]) {
-				c[j] = 0
-			}
-		}
-		pj.project(c, cfg.Headroom)
-	} else {
-		demand, err := t.UnitDemand()
-		if err != nil {
-			return nil, err
-		}
-		nodeSum := make([]float64, t.NumNodes)
-		for j := 0; j < p; j++ {
-			c[j] = demand[j]*t.PEs[j].Service.EffectiveCost() + 1e-6
-			nodeSum[t.PEs[j].Node] += c[j]
-		}
-		for j := 0; j < p; j++ {
-			c[j] *= 0.95 * cfg.Headroom / nodeSum[t.PEs[j].Node]
-		}
+	best, _, err := a.run(warm, 1e-6)
+	if err != nil {
+		return nil, err
 	}
-
-	ws := newAdjoint(t, order, nil)
-	eval := func(c []float64) float64 { return ws.eval(c, cfg.Utility) }
-
-	best := make([]float64, p)
-	copy(best, c)
-	bestObj := eval(c)
-	// curObj tracks eval(c) across iterations: the accepted line-search
-	// trial already produced it, so re-deriving the base objective at the
-	// top of each iteration would waste one full propagation per
-	// iteration. eval is deterministic, so the carried value is exactly
-	// what the re-evaluation would return — identical iterates, one fewer
-	// eval.
-	curObj := bestObj
-	objWindow := bestObj
-
-	grad := make([]float64, p)
-	trial := make([]float64, p)
-	step := 0.05
-	iters := 0
-	for it := 1; it <= cfg.MaxIters; it++ {
-		if expired() {
-			break
-		}
-		iters = it
-		var base float64
-		if cfg.Gradient == GradientFiniteDiff {
-			base = curObj
-			// Forward-difference gradient. The objective is piecewise smooth
-			// (min compositions); forward differences give a valid ascent
-			// direction almost everywhere. One gradient is p evals — at large
-			// p that alone can dwarf the deadline, so the deadline is also
-			// polled inside the loop and a truncated gradient abandons the
-			// iteration (best holds the last complete iterate).
-			const h = 1e-7
-			truncated := false
-			for j := 0; j < p; j++ {
-				if j%64 == 63 && expired() {
-					truncated = true
-					break
-				}
-				old := c[j]
-				c[j] = old + h
-				grad[j] = (eval(c) - base) / h
-				c[j] = old
-			}
-			if truncated {
-				break
-			}
-		} else {
-			// Adjoint gradient: one forward pass (which doubles as the base
-			// evaluation) plus one backward sweep, independent of p.
-			base = ws.evalGrad(c, cfg.Utility, grad)
-		}
-		// Normalize the step by the gradient's scale so progress is
-		// uniform across problem sizes.
-		gnorm := 0.0
-		for _, g := range grad {
-			gnorm += g * g
-		}
-		gnorm = math.Sqrt(gnorm)
-		if gnorm < 1e-14 {
-			break
-		}
-		improved := false
-		for attempt := 0; attempt < 12; attempt++ {
-			for j := 0; j < p; j++ {
-				trial[j] = c[j] + step*grad[j]/gnorm
-			}
-			pj.project(trial, cfg.Headroom)
-			if obj := eval(trial); obj > base {
-				copy(c, trial)
-				curObj = obj
-				if obj > bestObj {
-					bestObj = obj
-					copy(best, c)
-				}
-				step *= 1.25
-				if step > 0.25 {
-					step = 0.25
-				}
-				improved = true
-				break
-			}
-			step *= 0.5
-			if step < 1e-10 {
-				break
-			}
-		}
-		if !improved {
-			break
-		}
-		if it%25 == 0 {
-			if bestObj-objWindow <= cfg.Tol*(math.Abs(bestObj)+1e-12) {
-				break
-			}
-			objWindow = bestObj
-		}
+	if a.cfg.MinShare > 0 {
+		applyMinShare(t, best, a.cfg.MinShare, a.cfg.Headroom)
 	}
-
-	// Phase 2: the adaptive phase stalls on the non-differentiable ridges
-	// the min() composition creates (sharp with linear utility). A
-	// diminishing-step subgradient pass walks along those ridges; per
-	// subgradient-method theory the best iterate converges even though
-	// individual steps may not improve. The analytic engine takes its
-	// adjoint subgradient (one propagation per step, with the evaluation
-	// of the previous step's iterate folded into the same forward pass);
-	// the reference engine keeps central differences.
-	copy(c, best)
-	subIters := cfg.MaxIters - iters
-	if subIters > 3000 {
-		subIters = 3000
-	}
-	stepped := false
-	for it := 1; it <= subIters; it++ {
-		if expired() {
-			break
-		}
-		iters++
-		if cfg.Gradient == GradientFiniteDiff {
-			const h = 1e-7
-			truncated := false
-			for j := 0; j < p; j++ {
-				if j%64 == 63 && expired() {
-					truncated = true
-					break
-				}
-				old := c[j]
-				c[j] = old + h
-				up := eval(c)
-				c[j] = old - h
-				down := eval(c)
-				c[j] = old
-				grad[j] = (up - down) / (2 * h)
-			}
-			if truncated {
-				break
-			}
-		} else {
-			// The forward half of the gradient also scores the previous
-			// step's iterate, so each analytic subgradient step costs ONE
-			// propagation total.
-			if obj := ws.evalGrad(c, cfg.Utility, grad); obj > bestObj {
-				bestObj = obj
-				copy(best, c)
-			}
-		}
-		gnorm := 0.0
-		for _, g := range grad {
-			gnorm += g * g
-		}
-		gnorm = math.Sqrt(gnorm)
-		if gnorm < 1e-14 {
-			break
-		}
-		alpha := 0.15 / math.Sqrt(float64(it))
-		for j := 0; j < p; j++ {
-			c[j] += alpha * grad[j] / gnorm
-		}
-		pj.project(c, cfg.Headroom)
-		stepped = true
-		if cfg.Gradient == GradientFiniteDiff {
-			if obj := eval(c); obj > bestObj {
-				bestObj = obj
-				copy(best, c)
-			}
-		}
-	}
-	if cfg.Gradient != GradientFiniteDiff && stepped {
-		// The analytic loop scores each iterate at the TOP of the next
-		// step; the last stepped point still needs its evaluation.
-		if obj := eval(c); obj > bestObj {
-			bestObj = obj
-			copy(best, c)
-		}
-	}
-
-	if cfg.MinShare > 0 {
-		applyMinShare(t, best, cfg.MinShare, cfg.Headroom)
-	}
-	// The returned Objective is recomputed from the FINAL allocation:
-	// applyMinShare mutates best after bestObj was captured, so echoing
-	// bestObj could overstate what the returned CPU vector achieves.
-	ws.forward(best)
-	rin := append([]float64(nil), ws.rin...)
-	rout := append([]float64(nil), ws.rout...)
-	obj, wt := 0.0, 0.0
-	for j := 0; j < p; j++ {
-		if w := t.PEs[j].Weight; w > 0 {
-			obj += w * cfg.Utility.Value(rout[j])
-		}
-		wt += t.PEs[j].Weight * rout[j]
-	}
-	return &Allocation{
-		CPU:                best,
-		RIn:                rin,
-		ROut:               rout,
-		Objective:          obj,
-		WeightedThroughput: wt,
-		Iterations:         iters,
-		Evals:              ws.evals,
-		ColdStart:          cold,
-		SolveMillis:        float64(time.Since(start)) / float64(time.Millisecond),
-		DeadlineExceeded:   deadlineHit,
-	}, nil
+	return a.result(best), nil
 }
 
 // applyMinShare raises every allocation to at least minShare of its node.
@@ -487,13 +248,14 @@ func applyMinShare(t *graph.Topology, c []float64, minShare, headroom float64) {
 	}
 }
 
-// propagate evaluates the fluid model: each PE's input rate is the minimum
-// of its processing capacity h_j(c_j) and the data available from its
-// sources and upstream PEs (each downstream receives a full copy of the
-// upstream output — §III-D); outputs scale by the mean multiplicity. Join
-// PEs fire at the rate of their slowest input (the per-upstream form of
-// Eq. 5).
-func propagate(t *graph.Topology, order []sdo.PEID, c []float64) (rin, rout []float64) {
+// propagate evaluates the fluid model over a slot vector: PE j's
+// processing capacity is the sum over its slots of max(0, x/cost − b) —
+// every active replica pays the overhead tax again — and its input rate is
+// the minimum of that capacity and the data available from its sources and
+// upstream PEs (each downstream receives a full copy of the upstream output
+// — §III-D); outputs scale by the mean multiplicity. Join PEs fire at the
+// rate of their slowest input (the per-upstream form of Eq. 5).
+func propagate(t *graph.Topology, order []sdo.PEID, first []int, x []float64) (rin, rout []float64) {
 	p := t.NumPEs()
 	rin = make([]float64, p)
 	rout = make([]float64, p)
@@ -504,9 +266,11 @@ func propagate(t *graph.Topology, order []sdo.PEID, c []float64) (rin, rout []fl
 	}
 	for _, j := range order {
 		pe := &t.PEs[j]
-		cap := c[j]/pe.Service.EffectiveCost() - pe.Overhead
-		if cap < 0 {
-			cap = 0
+		cap := 0.0
+		for i := first[j]; i < first[j+1]; i++ {
+			if v := x[i]/pe.Service.EffectiveCost() - pe.Overhead; v > 0 {
+				cap += v
+			}
 		}
 		r := avail[j]
 		if pe.Join {
@@ -543,14 +307,6 @@ func propagate(t *graph.Topology, order []sdo.PEID, c []float64) (rin, rout []fl
 	return rin, rout
 }
 
-// projectNodes projects the allocation of every node onto the capacity
-// simplex {c ≥ 0, Σ c ≤ headroom} using the standard Euclidean simplex
-// projection. One-shot convenience; the solvers hold a projector so the
-// node index and scratch persist across the ascent loop.
-func projectNodes(t *graph.Topology, c []float64, headroom float64) {
-	newNodeProjector(t).project(c, headroom)
-}
-
 // projectSimplex returns the Euclidean projection of v onto
 // {x ≥ 0, Σ x = z} (Duchi et al. 2008).
 func projectSimplex(v []float64, z float64) []float64 {
@@ -575,7 +331,7 @@ func Propagate(t *graph.Topology, c []float64) (rin, rout []float64, err error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	rin, rout = propagate(t, order, c)
+	rin, rout = propagate(t, order, slotLayout(t, false), c)
 	return rin, rout, nil
 }
 
@@ -587,6 +343,6 @@ func Perturb(t *graph.Topology, cpu []float64, eps float64, rng *sim.Rand) []flo
 	for j := range cpu {
 		out[j] = cpu[j] * (1 + rng.Uniform(-eps, eps))
 	}
-	projectNodes(t, out, 1)
+	(&projector{groups: nodeGroups(t, slotLayout(t, false))}).project(out, 1)
 	return out
 }

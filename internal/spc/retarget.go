@@ -235,7 +235,8 @@ type RetargetConfig struct {
 	Every float64
 	// Optimize configures the tier-1 solver. WarmStart and
 	// WarmStartReplica are managed by the loop (each re-solve starts from
-	// the incumbent targets).
+	// the incumbent targets). Outside Hier the loop solves with
+	// SolveElastic, which does not apply MinShare.
 	Optimize optimize.Config
 	// Lambda is the RLS forgetting factor (0 → 0.98).
 	Lambda float64
@@ -267,11 +268,11 @@ type resolve func(t *graph.Topology, cur *targetSet) (rep [][]float64, cpu []flo
 // every process; epoch ordering makes concurrent loops safe, just wasteful.
 // The loop stops with the cluster.
 //
-// The solver is chosen once, here: hier.Solve when rc.Hier is set;
-// otherwise SolveElastic when the topology declares any replica slot, so
-// the loop also picks replica counts from the calibrated models (a
-// replica adds a_j·c̄ − b_j capacity but pays the overhead b_j again);
-// otherwise Solve, whose vector installs into the primary column.
+// The solver is chosen once, here: hier.Solve when rc.Hier is set,
+// otherwise SolveElastic, so the loop also picks replica counts from the
+// calibrated models wherever the topology declares replica slots (a
+// replica adds a_j·c̄ − b_j capacity but pays the overhead b_j again). On
+// a topology without slots, a warm-started SolveElastic is Solve.
 func (c *Cluster) StartRetarget(rc RetargetConfig) error {
 	if rc.Every <= 0 {
 		return fmt.Errorf("spc: RetargetConfig.Every must be positive, got %g", rc.Every)
@@ -307,13 +308,12 @@ func (c *Cluster) StartRetarget(rc RetargetConfig) error {
 // topology's shape.
 func (c *Cluster) solver(rc RetargetConfig) (resolve, error) {
 	t := c.cfg.Topo
-	elastic := false
-	for j := range t.PEs {
-		elastic = elastic || t.Replicas(sdo.PEID(j)) > 1
-	}
 	oc := rc.Optimize
-	switch {
-	case rc.Hier != nil:
+	if rc.Hier != nil {
+		elastic := false
+		for j := range t.PEs {
+			elastic = elastic || t.Replicas(sdo.PEID(j)) > 1
+		}
 		dec, err := hier.Partition(t, hier.PartitionConfig{Regions: rc.Hier.Regions, MaxRegionPEs: rc.Hier.MaxRegionPEs})
 		if err != nil {
 			return nil, fmt.Errorf("spc: hier retarget: %w", err)
@@ -341,25 +341,15 @@ func (c *Cluster) solver(rc RetargetConfig) (resolve, error) {
 			}
 			return ha.Replica, ha.CPU, nil
 		}, nil
-	case elastic:
-		return func(ct *graph.Topology, cur *targetSet) ([][]float64, []float64, error) {
-			oc.WarmStartReplica = cur.rep
-			ea, err := optimize.SolveElastic(ct, oc)
-			if err != nil {
-				return nil, nil, err
-			}
-			c.noteSolve(ea.SolveMillis, ea.Iterations)
-			return ea.Replica, ea.CPU, nil
-		}, nil
 	}
 	return func(ct *graph.Topology, cur *targetSet) ([][]float64, []float64, error) {
-		oc.WarmStart = cur.cpu
-		a, err := optimize.Solve(ct, oc)
+		oc.WarmStartReplica = cur.rep
+		ea, err := optimize.SolveElastic(ct, oc)
 		if err != nil {
 			return nil, nil, err
 		}
-		c.noteSolve(a.SolveMillis, a.Iterations)
-		return c.primaryColumn(a.CPU), a.CPU, nil
+		c.noteSolve(ea.SolveMillis, ea.Iterations)
+		return ea.Replica, ea.CPU, nil
 	}, nil
 }
 

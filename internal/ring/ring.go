@@ -28,6 +28,14 @@
 // and only then report failure. Close is not a memory barrier against
 // in-flight concurrent pushes — an admit racing Close may land; it is
 // never lost, because the drain picks it up.
+//
+// An element may carry one pointer-bearing companion beside its cell
+// (TryPushRef/PushRef, TryPopRef/PopRef): a ring of pointer-free cells
+// is memory the collector never scans, and the companion goes into a
+// side array of any, indexed like the cells, that the ring allocates
+// only when it is first handed a non-nil companion. A ring that is never
+// handed one (the transport outbox, any ring filled through TryPush or
+// Push) never allocates it.
 package ring
 
 import (
@@ -72,10 +80,14 @@ type pad [56]byte
 // Ring is the bounded queue. The zero value is not usable; call New.
 type Ring[T any] struct {
 	cells []cell[T]
-	mask  uint64
-	cap   uint64
-	sp    bool // single producer: plain-store head
-	sc    bool // single consumer: plain-store tail
+	// side holds each cell's companion at the cell's index, nil until the
+	// first non-nil companion arrives. Publishing it is a CAS that never
+	// takes mu: tryPush runs under mu on Push's park path.
+	side atomic.Pointer[[]any]
+	mask uint64
+	cap  uint64
+	sp   bool // single producer: plain-store head
+	sc   bool // single consumer: plain-store tail
 
 	_    pad
 	head atomic.Uint64 // next position to claim for enqueue
@@ -174,11 +186,31 @@ func (r *Ring[T]) Close() {
 	r.mu.Unlock()
 }
 
+// sideArray returns the companion array, allocating and publishing it
+// on first use. Racing first users each allocate; one CAS wins and the
+// losers adopt the winner's array.
+func (r *Ring[T]) sideArray() []any {
+	if p := r.side.Load(); p != nil {
+		return *p
+	}
+	a := make([]any, len(r.cells))
+	if r.side.CompareAndSwap(nil, &a) {
+		return a
+	}
+	return *r.side.Load()
+}
+
 // tryPush is the lock-free core: it performs no waiter wakeup, so the
-// park paths can call it while holding r.mu.
-func (r *Ring[T]) tryPush(v T) bool {
+// park paths can call it while holding r.mu. It copies *v into the
+// claimed cell and a non-nil ref into the side array, both before the
+// cell is published.
+func (r *Ring[T]) tryPush(v *T, ref any) bool {
 	if r.closed.Load() {
 		return false
+	}
+	var side []any
+	if ref != nil {
+		side = r.sideArray() // before the claim: a claimed cell stalls its consumer
 	}
 	if r.sp {
 		pos := r.head.Load()
@@ -193,7 +225,10 @@ func (r *Ring[T]) tryPush(v T) bool {
 		for int64(c.seq.Load())-int64(pos) < 0 {
 			runtime.Gosched()
 		}
-		c.val = v
+		c.val = *v
+		if ref != nil {
+			side[pos&r.mask] = ref
+		}
 		c.seq.Store(pos + 1) // publish after the value write
 		r.head.Store(pos + 1)
 		return true
@@ -207,7 +242,10 @@ func (r *Ring[T]) tryPush(v T) bool {
 		d := int64(c.seq.Load()) - int64(pos)
 		if d == 0 {
 			if r.head.CompareAndSwap(pos, pos+1) {
-				c.val = v
+				c.val = *v
+				if ref != nil {
+					side[pos&r.mask] = ref
+				}
 				c.seq.Store(pos + 1)
 				return true
 			}
@@ -226,9 +264,10 @@ func (r *Ring[T]) tryPush(v T) bool {
 	}
 }
 
-// tryPop is the lock-free core of Pop/TryPop; no waiter wakeup.
-func (r *Ring[T]) tryPop() (T, bool) {
-	var zero T
+// tryPop is the lock-free core of the pops; no waiter wakeup. It copies
+// the head cell into *v and returns its companion, clearing both before
+// the cell is released so the ring keeps nothing alive that has left it.
+func (r *Ring[T]) tryPop(v *T) (any, bool) {
 	for spins := 0; ; {
 		pos := r.tail.Load()
 		c := &r.cells[pos&r.mask]
@@ -236,22 +275,14 @@ func (r *Ring[T]) tryPop() (T, bool) {
 		if d == 0 {
 			if r.sc {
 				r.tail.Store(pos + 1)
-				v := c.val
-				c.val = zero
-				c.seq.Store(pos + uint64(len(r.cells)))
-				return v, true
+			} else if !r.tail.CompareAndSwap(pos, pos+1) {
+				continue
 			}
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				v := c.val
-				c.val = zero
-				c.seq.Store(pos + uint64(len(r.cells)))
-				return v, true
-			}
-			continue
+			return r.take(c, pos, v), true
 		}
 		if d < 0 {
 			if r.head.Load() == pos {
-				return zero, false // truly empty
+				return nil, false // truly empty
 			}
 			// A producer claimed the slot but has not published yet.
 			if spins++; spins > 64 {
@@ -262,6 +293,23 @@ func (r *Ring[T]) tryPop() (T, bool) {
 		}
 		// d > 0: stale tail read (another consumer won); reload.
 	}
+}
+
+// take empties the claimed cell c at pos into *v, returns its companion
+// and releases the cell for the producer's next lap.
+func (r *Ring[T]) take(c *cell[T], pos uint64, v *T) any {
+	var zero T
+	*v = c.val
+	c.val = zero
+	var ref any
+	if side := r.side.Load(); side != nil {
+		i := pos & r.mask
+		if ref = (*side)[i]; ref != nil {
+			(*side)[i] = nil
+		}
+	}
+	c.seq.Store(pos + uint64(len(r.cells)))
+	return ref
 }
 
 // wakePoppers unparks consumers after a successful push. The waiter
@@ -324,8 +372,13 @@ func (r *Ring[T]) cancelled(done <-chan struct{}) {
 // TryPush appends v if space is available and reports success. It never
 // blocks (beyond yielding to an in-flight operation on the same slot)
 // and always fails on a closed ring.
-func (r *Ring[T]) TryPush(v T) bool {
-	if !r.tryPush(v) {
+func (r *Ring[T]) TryPush(v T) bool { return r.TryPushRef(&v, nil) }
+
+// TryPushRef is TryPush for an element that travels as *v plus ref, its
+// pointer-bearing companion (nil for none): *v is copied into the cell,
+// ref into the side array.
+func (r *Ring[T]) TryPushRef(v *T, ref any) bool {
+	if !r.tryPush(v, ref) {
 		return false
 	}
 	r.wakePoppers()
@@ -335,12 +388,18 @@ func (r *Ring[T]) TryPush(v T) bool {
 // TryPop removes the head element without blocking. It keeps draining
 // after Close and fails only when the ring is empty.
 func (r *Ring[T]) TryPop() (T, bool) {
-	v, ok := r.tryPop()
-	if !ok {
-		return v, false
+	var v T
+	_, ok := r.TryPopRef(&v)
+	return v, ok
+}
+
+// TryPopRef is TryPop into *v; it returns the element's companion (nil
+// when it was pushed without one).
+func (r *Ring[T]) TryPopRef(v *T) (ref any, ok bool) {
+	if ref, ok = r.tryPop(v); ok {
+		r.wakePushers()
 	}
-	r.wakePushers()
-	return v, true
+	return ref, ok
 }
 
 // pushSpins/popSpins bound the yielding retry phase before a blocking
@@ -351,8 +410,12 @@ const blockSpins = 4
 
 // Push blocks until space is available or ctx is done; it returns false
 // when the ring closed or the context was cancelled.
-func (r *Ring[T]) Push(ctx context.Context, v T) bool {
-	if r.TryPush(v) {
+func (r *Ring[T]) Push(ctx context.Context, v T) bool { return r.PushRef(ctx, &v, nil) }
+
+// PushRef is Push for an element that travels as *v plus its companion
+// ref, as TryPushRef.
+func (r *Ring[T]) PushRef(ctx context.Context, v *T, ref any) bool {
+	if r.TryPushRef(v, ref) {
 		return true
 	}
 	for i := 0; i < blockSpins; i++ {
@@ -360,7 +423,7 @@ func (r *Ring[T]) Push(ctx context.Context, v T) bool {
 			return false
 		}
 		runtime.Gosched()
-		if r.TryPush(v) {
+		if r.TryPushRef(v, ref) {
 			return true
 		}
 	}
@@ -368,7 +431,7 @@ func (r *Ring[T]) Push(ctx context.Context, v T) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if r.tryPush(v) {
+		if r.tryPush(v, ref) {
 			if r.popWait.Load() != 0 {
 				r.notEmpty.Broadcast()
 			}
@@ -382,7 +445,7 @@ func (r *Ring[T]) Push(ctx context.Context, v T) bool {
 		// Final retry after announcing the wait: a pop that completed
 		// between our last attempt and the Add has already loaded a
 		// zero pushWait and will not broadcast.
-		if r.tryPush(v) {
+		if r.tryPush(v, ref) {
 			r.pushWait.Add(-1)
 			if r.popWait.Load() != 0 {
 				r.notEmpty.Broadcast()
@@ -402,44 +465,51 @@ func (r *Ring[T]) Push(ctx context.Context, v T) bool {
 // is closed and drained, or the context is done. Like Push, a park is
 // covered by ctx's waker, so cancellation alone unblocks it.
 func (r *Ring[T]) Pop(ctx context.Context) (T, bool) {
-	if v, ok := r.TryPop(); ok {
-		return v, true
+	var v T
+	_, ok := r.PopRef(ctx, &v)
+	return v, ok
+}
+
+// PopRef is Pop into *v; it returns the element's companion, as
+// TryPopRef.
+func (r *Ring[T]) PopRef(ctx context.Context, v *T) (any, bool) {
+	if ref, ok := r.TryPopRef(v); ok {
+		return ref, true
 	}
-	var zero T
 	for i := 0; i < blockSpins; i++ {
 		if r.closed.Load() || ctx.Err() != nil {
 			// Drain-before-fail: Close may have raced a final push.
-			return r.TryPop()
+			return r.TryPopRef(v)
 		}
 		runtime.Gosched()
-		if v, ok := r.TryPop(); ok {
-			return v, true
+		if ref, ok := r.TryPopRef(v); ok {
+			return ref, true
 		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for {
-		if v, ok := r.tryPop(); ok {
+		if ref, ok := r.tryPop(v); ok {
 			if r.pushWait.Load() != 0 {
 				r.notFull.Broadcast()
 			}
-			return v, true
+			return ref, true
 		}
 		if r.closed.Load() || ctx.Err() != nil {
-			return zero, false
+			return nil, false
 		}
 		r.arm(ctx)
 		r.popWait.Add(1)
-		if v, ok := r.tryPop(); ok {
+		if ref, ok := r.tryPop(v); ok {
 			r.popWait.Add(-1)
 			if r.pushWait.Load() != 0 {
 				r.notFull.Broadcast()
 			}
-			return v, true
+			return ref, true
 		}
 		if r.closed.Load() || ctx.Err() != nil {
 			r.popWait.Add(-1)
-			return zero, false
+			return nil, false
 		}
 		r.notEmpty.Wait()
 		r.popWait.Add(-1)

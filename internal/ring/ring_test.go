@@ -540,3 +540,67 @@ func armedWakers(r *Ring[int]) int {
 	defer r.mu.Unlock()
 	return len(r.wakers)
 }
+
+// The side array exists only once a non-nil companion has been pushed:
+// a ring filled through TryPush and Push, or through TryPushRef with nil,
+// never allocates it. A pop hands the companion back and clears its entry.
+func TestSideArrayLazyAndCleared(t *testing.T) {
+	r := New[int](4, MPMC)
+	r.TryPush(1)
+	r.Push(context.Background(), 2)
+	v := 3
+	r.TryPushRef(&v, nil)
+	if r.side.Load() != nil {
+		t.Fatal("side array allocated without a companion")
+	}
+	for i := 1; i <= 3; i++ {
+		if ref, ok := r.TryPopRef(&v); !ok || v != i || ref != nil {
+			t.Fatalf("pop = (%d, %v, %v), want (%d, nil, true)", v, ref, ok, i)
+		}
+	}
+	v = 4
+	r.TryPushRef(&v, "four")
+	side := r.side.Load()
+	if side == nil || len(*side) != len(r.cells) {
+		t.Fatal("first companion did not allocate a side array as long as the cells")
+	}
+	if ref, ok := r.TryPopRef(&v); !ok || v != 4 || ref != "four" {
+		t.Fatalf("pop = (%d, %v, %v), want (4, four, true)", v, ref, ok)
+	}
+	for i, e := range *side {
+		if e != nil {
+			t.Errorf("side[%d] = %v after its pop, want nil", i, e)
+		}
+	}
+}
+
+// The first companion may arrive through Push's park path, which calls
+// the push core under the ring's lock: the side array's allocation must
+// not need that lock.
+func TestFirstRefThroughParkedPush(t *testing.T) {
+	r := New[int](1, MPMC)
+	r.TryPush(0)
+	done := make(chan bool, 1)
+	go func() {
+		v := 1
+		done <- r.PushRef(context.Background(), &v, "first")
+	}()
+	for r.pushWait.Load() == 0 {
+		runtime.Gosched()
+	}
+	if v, ok := r.TryPop(); !ok || v != 0 {
+		t.Fatalf("pop = (%d, %v), want (0, true)", v, ok)
+	}
+	select {
+	case ok := <-done:
+		if !ok {
+			t.Fatal("parked PushRef failed")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("parked PushRef carrying the first companion never completed")
+	}
+	var v int
+	if ref, ok := r.TryPopRef(&v); !ok || v != 1 || ref != "first" {
+		t.Fatalf("pop = (%d, %v, %v), want (1, first, true)", v, ref, ok)
+	}
+}

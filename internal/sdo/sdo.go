@@ -43,16 +43,22 @@ type SDO struct {
 	Seq uint64
 	// Origin is the time the ancestral input SDO entered the system.
 	// Derived SDOs inherit the origin of the input SDO that produced them,
-	// so egress timestamps measure true end-to-end latency.
+	// so egress timestamps measure true end-to-end latency. A PE's input
+	// buffer keeps it as the same instant: Equal to the one pushed, with
+	// a monotonic reading if and only if it had one (so now.Sub(Origin)
+	// reads the same) and the same wall reading; a zero Origin stays
+	// zero, and its Location is dropped, as on the wire.
 	Origin time.Time
 	// Bytes is the size of the SDO used for rate accounting. The paper
 	// measures rates in bytes (§V-A); the simulator uses 1-byte SDOs so
 	// that SDO counts and byte counts coincide, matching the paper's
-	// SDO-denominated buffer sizes.
+	// SDO-denominated buffer sizes. A PE's input buffer keeps it exactly
+	// in [-2^51, 2^51).
 	Bytes int
 	// Hops counts the number of PEs that have processed ancestors of this
 	// SDO. Used for wasted-work accounting: dropping an SDO with Hops > 0
-	// discards partially processed data.
+	// discards partially processed data. A PE's input buffer keeps it as
+	// an int32, as the wire carries it.
 	Hops int
 	// Trace is the observability trace ID: nonzero when this SDO's
 	// lineage was sampled at ingress (internal/obs). Derived SDOs inherit

@@ -63,10 +63,11 @@ const (
 	SPSC Mode = SingleProducer | SingleConsumer
 )
 
-// cell is one ring slot. seq encodes the slot's lap state: seq == pos
-// means free for the producer claiming position pos; seq == pos+1 means
-// filled for the consumer at pos; seq == pos+size means released for
-// the producer's next lap.
+// cell is one ring slot. seq encodes the slot's lap state relative to
+// its index i, so that a zeroed array is the initial state: with lap =
+// pos − i (pos &^ mask), seq == lap means free for the producer claiming
+// position pos; seq == lap+1 means filled for the consumer at pos; seq ==
+// lap+size means released for the producer's next lap.
 type cell[T any] struct {
 	seq atomic.Uint64
 	val T
@@ -133,9 +134,6 @@ func New[T any](capacity int, mode Mode) *Ring[T] {
 		cap:   uint64(capacity),
 		sp:    mode&SingleProducer != 0,
 		sc:    mode&SingleConsumer != 0,
-	}
-	for i := range r.cells {
-		r.cells[i].seq.Store(uint64(i))
 	}
 	r.notFull = sync.NewCond(&r.mu)
 	r.notEmpty = sync.NewCond(&r.mu)
@@ -217,19 +215,19 @@ func (r *Ring[T]) tryPush(v *T, ref any) bool {
 		if pos-r.tail.Load() >= r.cap {
 			return false
 		}
-		c := &r.cells[pos&r.mask]
+		c, lap := &r.cells[pos&r.mask], pos&^r.mask
 		// A consumer that claimed the slot's previous occupant may not
 		// have released it yet (tail moved, seq not); the window is a
 		// few instructions, but on one core the consumer needs the
 		// scheduler to finish it.
-		for int64(c.seq.Load())-int64(pos) < 0 {
+		for int64(c.seq.Load())-int64(lap) < 0 {
 			runtime.Gosched()
 		}
 		c.val = *v
 		if ref != nil {
 			side[pos&r.mask] = ref
 		}
-		c.seq.Store(pos + 1) // publish after the value write
+		c.seq.Store(lap + 1) // publish after the value write
 		r.head.Store(pos + 1)
 		return true
 	}
@@ -238,15 +236,15 @@ func (r *Ring[T]) tryPush(v *T, ref any) bool {
 		if pos-r.tail.Load() >= r.cap {
 			return false
 		}
-		c := &r.cells[pos&r.mask]
-		d := int64(c.seq.Load()) - int64(pos)
+		c, lap := &r.cells[pos&r.mask], pos&^r.mask
+		d := int64(c.seq.Load()) - int64(lap)
 		if d == 0 {
 			if r.head.CompareAndSwap(pos, pos+1) {
 				c.val = *v
 				if ref != nil {
 					side[pos&r.mask] = ref
 				}
-				c.seq.Store(pos + 1)
+				c.seq.Store(lap + 1)
 				return true
 			}
 			continue // lost the claim; reload head
@@ -271,7 +269,7 @@ func (r *Ring[T]) tryPop(v *T) (any, bool) {
 	for spins := 0; ; {
 		pos := r.tail.Load()
 		c := &r.cells[pos&r.mask]
-		d := int64(c.seq.Load()) - int64(pos+1)
+		d := int64(c.seq.Load()) - int64(pos&^r.mask+1)
 		if d == 0 {
 			if r.sc {
 				r.tail.Store(pos + 1)
@@ -308,7 +306,7 @@ func (r *Ring[T]) take(c *cell[T], pos uint64, v *T) any {
 			(*side)[i] = nil
 		}
 	}
-	c.seq.Store(pos + uint64(len(r.cells)))
+	c.seq.Store(pos&^r.mask + uint64(len(r.cells)))
 	return ref
 }
 

@@ -566,6 +566,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.replicas = make([][]*peRuntime, t.NumPEs())
+	// Slots whose buffers share a size share a design: the Riccati solve
+	// runs once per distinct DesignConfig, and the controllers share its
+	// gains, which they only read.
+	designs := map[control.DesignConfig]control.FlowGains{}
 	for j := 0; j < t.NumPEs(); j++ {
 		pe := &t.PEs[j]
 		place := t.ReplicaPlacement(sdo.PEID(j))
@@ -647,13 +651,18 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				pr.model = syn
 			}
 			if cfg.Policy.UsesFeedback() {
-				gains, err := control.Design(control.DesignConfig{
+				dc := control.DesignConfig{
 					Delay: 2, QWeight: cfg.QWeight, RWeight: cfg.RWeight, Smoothing: 1,
 					B0: cfg.B0Frac * float64(bufCap),
-				})
-				if err != nil {
-					cancel()
-					return nil, fmt.Errorf("spc: PE %d gain design: %w", j, err)
+				}
+				gains, ok := designs[dc]
+				if !ok {
+					var err error
+					if gains, err = control.Design(dc); err != nil {
+						cancel()
+						return nil, fmt.Errorf("spc: PE %d gain design: %w", j, err)
+					}
+					designs[dc] = gains
 				}
 				fc, err := control.NewFlowController(gains, 0)
 				if err != nil {

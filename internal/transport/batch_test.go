@@ -26,7 +26,7 @@ func member(t *testing.T, k Kind, to sdo.PEID, s sdo.SDO) outFrame {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outFrame{kind: k, body: body}
+	return outFrame{kind: k, buf: &body}
 }
 
 func TestBatchRoundTrip(t *testing.T) {
@@ -192,7 +192,8 @@ func TestRecvRejectsBadHelloFrame(t *testing.T) {
 
 func TestSendBatchRejectsOversizedTotal(t *testing.T) {
 	client, _ := pair(t)
-	huge := outFrame{kind: KindData, body: make([]byte, maxFrame/2)}
+	hugeBody := make([]byte, maxFrame/2)
+	huge := outFrame{kind: KindData, buf: &hugeBody}
 	if err := client.sendBatch([]outFrame{huge, huge, huge}, true); err == nil {
 		t.Error("batch beyond maxFrame accepted")
 	}
@@ -329,7 +330,7 @@ func TestLargeBatchGatheredWrite(t *testing.T) {
 			Stream: 2, Seq: uint64(i), Origin: time.Unix(0, 1),
 			Payload: append([]byte(nil), payload...), Bytes: len(payload),
 		})
-		total += 5 + len(members[i].body)
+		total += 5 + len(*members[i].buf)
 	}
 	if total < vecMinBytes {
 		t.Fatalf("test batch is %d bytes, below the %d gathered-write threshold", total, vecMinBytes)
@@ -385,8 +386,8 @@ func batchBody(members []outFrame) []byte {
 	body := binary.BigEndian.AppendUint32(nil, uint32(len(members)))
 	for _, m := range members {
 		body = append(body, byte(m.kind))
-		body = binary.BigEndian.AppendUint32(body, uint32(len(m.body)))
-		body = append(body, m.body...)
+		body = binary.BigEndian.AppendUint32(body, uint32(len(*m.buf)))
+		body = append(body, *m.buf...)
 	}
 	return body
 }
@@ -394,7 +395,7 @@ func batchBody(members []outFrame) []byte {
 // TestBatchPayloadSlab covers what sharing one slab per frame could break:
 // header-only and payload members mixed in one batch, a payload above the
 // slab cap, an append on one payload reaching its neighbour, and a view
-// outliving the pooled frame body it was copied from.
+// outliving the frame body it was copied from.
 func TestBatchPayloadSlab(t *testing.T) {
 	client, server := pair(t)
 	origin := time.Unix(0, 1)
@@ -445,8 +446,8 @@ func TestBatchPayloadSlab(t *testing.T) {
 	first := recv(1)
 	// Appending to one payload must leave its slab neighbour intact.
 	_ = append(first[0], bytes.Repeat([]byte{0xFF}, 600)...)
-	// The second frame of the same size reuses the pooled frame body; the
-	// first frame's payloads must not be views into it.
+	// The second frame of the same size is read into the same Conn-owned
+	// body buffer; the first frame's payloads must not be views into it.
 	send(101)
 	recv(101)
 	for i, n := range sizes {
@@ -476,7 +477,7 @@ func payloadBatch(tb testing.TB, sizes []int) (body []byte, sent [][]byte) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		members[i] = outFrame{kind: KindRouted, body: b}
+		members[i] = outFrame{kind: KindRouted, buf: &b}
 	}
 	return batchBody(members), sent
 }
@@ -621,8 +622,8 @@ func FuzzDecodeBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(batchBody([]outFrame{{kind: KindData, body: small}}))
-	f.Add(batchBody([]outFrame{{kind: KindRouted, body: routed}, {kind: KindData, body: small}, {kind: KindReplica, body: replica}}))
+	f.Add(batchBody([]outFrame{{kind: KindData, buf: &small}}))
+	f.Add(batchBody([]outFrame{{kind: KindRouted, buf: &routed}, {kind: KindData, buf: &small}, {kind: KindReplica, buf: &replica}}))
 	mixed, _ := payloadBatch(f, mixedSizes())
 	f.Add(mixed)
 	oversize, _ := payloadBatch(f, []int{0, slabCap + 1, 0})

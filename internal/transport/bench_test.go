@@ -45,7 +45,7 @@ func wireSDO() sdo.SDO {
 	return sdo.SDO{Stream: 1, Seq: 42, Origin: time.Unix(0, 1), Hops: 2, Trace: 7}
 }
 
-// TestEncodePathZeroAllocs is the acceptance gate for the pooled encode
+// TestEncodePathZeroAllocs is the acceptance gate for the direct encode
 // path: sending an SDO through a warmed Conn must not allocate.
 func TestEncodePathZeroAllocs(t *testing.T) {
 	addr := drainServer(t)
@@ -55,7 +55,7 @@ func TestEncodePathZeroAllocs(t *testing.T) {
 	}
 	defer c.Close()
 	s := benchSDO()
-	// Warm the buffer pool and bufio writer.
+	// Warm the send scratch and bufio writer.
 	for i := 0; i < 16; i++ {
 		if err := c.SendSDO(s); err != nil {
 			t.Fatal(err)
@@ -92,7 +92,7 @@ func TestDecodePathZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm the pool and let the pre-sent frames land in the read buffer.
+	// Warm the body buffer and let the pre-sent frames land in the read buffer.
 	for i := 0; i < 16; i++ {
 		if _, err := server.Recv(); err != nil {
 			t.Fatal(err)
@@ -126,7 +126,7 @@ func TestBatchDecodeAllocsPerFrame(t *testing.T) {
 		}
 		members := make([]outFrame, n)
 		for i := range members {
-			members[i] = outFrame{kind: KindRouted, body: mbody}
+			members[i] = outFrame{kind: KindRouted, buf: &mbody}
 		}
 		body := batchBody(members)
 		var c Conn
@@ -167,7 +167,7 @@ func TestGatheredWritePathZeroAllocs(t *testing.T) {
 	body := make([]byte, 512)
 	members := make([]outFrame, 32)
 	for i := range members {
-		members[i] = outFrame{kind: KindData, body: body}
+		members[i] = outFrame{kind: KindData, buf: &body}
 	}
 	total := 4 + len(members)*(5+len(body))
 	if total < vecMinBytes || total < len(members)*vecMinSeg {

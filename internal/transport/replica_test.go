@@ -29,7 +29,7 @@ func TestReplicaFrameRoundTrip(t *testing.T) {
 
 func TestRecvRejectsBadReplicaFrame(t *testing.T) {
 	client, server := pair(t)
-	if err := client.send(KindReplica, []byte{0, 0, 0, 1}); err != nil {
+	if err := client.writeFrame(KindReplica, []byte{0, 0, 0, 1}, true); err != nil {
 		t.Fatal(err) // 4 bytes: PE but no replica slot, no SDO
 	}
 	if _, err := server.Recv(); err == nil {

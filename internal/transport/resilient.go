@@ -136,26 +136,19 @@ type LinkStats struct {
 	QueueLen, QueueCap int
 }
 
-// outFrame is one queued wire frame. hops carries the SDO's processing
-// depth so asynchronous drops can be accounted as in-flight loss; trace
-// carries its observability trace ID so they can end the trace too. buf
-// is the pooled buffer backing body, recycled after the frame leaves the
-// outbox (written, dropped, or abandoned).
+// outFrame is one queued wire frame: 24 bytes with one pointer word, so
+// an outbox cell (the ring's sequence word plus the frame) is 32 bytes of
+// which the collector scans one word. *buf is the encoded body; the
+// buffer goes back to the link's free list once the frame leaves the
+// outbox (written, dropped or abandoned). hops carries the SDO's
+// processing depth (an int32, as on the wire) so asynchronous drops can
+// be accounted as in-flight loss; trace carries its observability trace
+// ID so they can end the trace too.
 type outFrame struct {
-	kind  Kind
-	body  []byte
 	buf   *[]byte
-	hops  int
 	trace uint64
-}
-
-// release returns the frame's encode buffer to the pool.
-func (f *outFrame) release() {
-	if f.buf != nil {
-		putBuf(f.buf)
-		f.buf = nil
-	}
-	f.body = nil
+	hops  int32
+	kind  Kind
 }
 
 // ResilientConn is a self-healing framed connection: sends enqueue into a
@@ -176,8 +169,24 @@ type ResilientConn struct {
 	// (every local PE emitter enqueues) single-consumer (only the writer
 	// pops). Replacing the old buffered channel shaved two channel
 	// operations off every frame on the emit hot path; producers that
-	// find the writer parked ring the doorbell instead.
-	outq *ring.Ring[outFrame]
+	// find the writer parked ring the doorbell instead. It is allocated
+	// by the first data frame (dataRing), so a link that only ever
+	// carries control frames holds none.
+	outq atomic.Pointer[ring.Ring[outFrame]]
+	// qmu orders the data ring's allocation against Close: a producer
+	// installs the ring under it only while the link is open, and Close
+	// raises closed under it, so the ring Close drains is the only one
+	// the link will ever have. No send takes it once the ring exists.
+	qmu sync.Mutex
+	// free is the link's encode-buffer free list: a send pops a buffer
+	// to encode into and whoever retires the frame (the writer, a drop,
+	// Close) pushes it back. It is a lock-free ring, so a send takes no
+	// lock the writer holds, and the collector never empties it (it does
+	// empty a sync.Pool, which then costs a fresh buffer per in-flight
+	// frame after every cycle). It holds four write bursts — the one on
+	// the wire and the three the emitters fill meanwhile; buffers beyond
+	// that, or above maxKeptBuf, are left to the collector.
+	free *ring.Ring[*[]byte]
 	// doorbell wakes the parked writer. Capacity 1: a ring while awake
 	// (or while a previous ring is pending) is a no-op.
 	doorbell chan struct{}
@@ -197,10 +206,11 @@ type ResilientConn struct {
 	// mu guards connection replacement (connect, redial, close): cur is
 	// written only under it, but read lock-free by the control sends'
 	// liveness check (ctlLive), so no send takes mu.
-	mu     sync.Mutex
-	cond   *sync.Cond
-	cur    atomic.Pointer[Conn]
-	gen    int // bumped on every connect; stale failures are ignored
+	mu   sync.Mutex
+	cond *sync.Cond
+	cur  atomic.Pointer[Conn]
+	gen  int // bumped on every connect; stale failures are ignored
+	// closed is written under both mu and qmu, so either guards a read.
 	closed bool
 	// rconn and rgen are the connection Recv is reading and its generation
 	// (Recv-goroutine-owned): Recv asks current() again only after an error.
@@ -230,7 +240,7 @@ func NewResilientConn(dial DialFunc, opts ResilientOptions) *ResilientConn {
 	rc := &ResilientConn{
 		dial:     dial,
 		opts:     opts,
-		outq:     ring.New[outFrame](opts.QueueSize, ring.SingleConsumer),
+		free:     ring.New[*[]byte](4*opts.burstCap(), ring.MPMC),
 		doorbell: make(chan struct{}, 1),
 		ctl:      make(chan outFrame, ctlLaneCap),
 		done:     make(chan struct{}),
@@ -245,49 +255,36 @@ func NewResilientConn(dial DialFunc, opts ResilientOptions) *ResilientConn {
 // SendSDO enqueues one data frame. It never blocks; a full outbox returns
 // ErrOutboxFull and the frame is dropped.
 func (rc *ResilientConn) SendSDO(s sdo.SDO) error {
-	bp := getBuf()
-	body, err := encodeSDO((*bp)[:0], s)
-	if err != nil {
-		putBuf(bp)
-		return err
-	}
-	*bp = body
-	return rc.enqueue(outFrame{kind: KindData, body: body, buf: bp, hops: s.Hops, trace: s.Trace})
+	bp := rc.getBuf()
+	var err error
+	*bp, err = encodeSDO((*bp)[:0], s)
+	return rc.enqueue(outFrame{kind: KindData, buf: bp, hops: int32(s.Hops), trace: s.Trace}, err)
 }
 
 // SendRouted enqueues a data frame addressed to PE `to` in the peer
 // process. It never blocks.
 func (rc *ResilientConn) SendRouted(to sdo.PEID, s sdo.SDO) error {
-	bp := getBuf()
-	body, err := encodeRouted((*bp)[:0], to, s)
-	if err != nil {
-		putBuf(bp)
-		return err
-	}
-	*bp = body
-	return rc.enqueue(outFrame{kind: KindRouted, body: body, buf: bp, hops: s.Hops, trace: s.Trace})
+	bp := rc.getBuf()
+	var err error
+	*bp, err = encodeRouted((*bp)[:0], to, s)
+	return rc.enqueue(outFrame{kind: KindRouted, buf: bp, hops: int32(s.Hops), trace: s.Trace}, err)
 }
 
 // SendReplica enqueues a data frame addressed to replica slot `rep` of PE
 // `to` in the peer process. It never blocks.
 func (rc *ResilientConn) SendReplica(to sdo.PEID, rep int32, s sdo.SDO) error {
-	bp := getBuf()
-	body, err := encodeReplica((*bp)[:0], to, rep, s)
-	if err != nil {
-		putBuf(bp)
-		return err
-	}
-	*bp = body
-	return rc.enqueue(outFrame{kind: KindReplica, body: body, buf: bp, hops: s.Hops, trace: s.Trace})
+	bp := rc.getBuf()
+	var err error
+	*bp, err = encodeReplica((*bp)[:0], to, rep, s)
+	return rc.enqueue(outFrame{kind: KindReplica, buf: bp, hops: int32(s.Hops), trace: s.Trace}, err)
 }
 
 // SendFeedback enqueues one control frame on the reserved control lane.
 // It never blocks.
 func (rc *ResilientConn) SendFeedback(f Feedback) error {
-	bp := getBuf()
-	body := encodeFeedback((*bp)[:0], f)
-	*bp = body
-	return rc.enqueueCtl(outFrame{kind: KindFeedback, body: body, buf: bp})
+	bp := rc.getBuf()
+	*bp = encodeFeedback((*bp)[:0], f)
+	return rc.enqueueCtl(outFrame{kind: KindFeedback, buf: bp})
 }
 
 // SendHeartbeat enqueues one liveness beacon, or silently discards it
@@ -299,9 +296,9 @@ func (rc *ResilientConn) SendHeartbeat(hb Heartbeat) error {
 	if live, err := rc.ctlLive(); !live {
 		return err
 	}
-	bp := getBuf()
+	bp := rc.getBuf()
 	*bp = encodeHeartbeat((*bp)[:0], hb)
-	return rc.enqueueCtl(outFrame{kind: KindHeartbeat, body: *bp, buf: bp})
+	return rc.enqueueCtl(outFrame{kind: KindHeartbeat, buf: bp})
 }
 
 // SendTargets enqueues one (term, epoch)-numbered target set on the
@@ -313,9 +310,9 @@ func (rc *ResilientConn) SendTargets(t Targets) error {
 	if live, err := rc.ctlLive(); !live {
 		return err
 	}
-	bp := getBuf()
+	bp := rc.getBuf()
 	*bp = encodeTargets((*bp)[:0], t)
-	return rc.enqueueCtl(outFrame{kind: KindTargets, body: *bp, buf: bp})
+	return rc.enqueueCtl(outFrame{kind: KindTargets, buf: bp})
 }
 
 // SendTargetAck enqueues one upward dissemination ack, with the same
@@ -327,9 +324,30 @@ func (rc *ResilientConn) SendTargetAck(a TargetAck) error {
 	if live, err := rc.ctlLive(); !live {
 		return err
 	}
-	bp := getBuf()
+	bp := rc.getBuf()
 	*bp = encodeTargetAck((*bp)[:0], a)
-	return rc.enqueueCtl(outFrame{kind: KindTargetAck, body: *bp, buf: bp})
+	return rc.enqueueCtl(outFrame{kind: KindTargetAck, buf: bp})
+}
+
+// getBuf takes an encode buffer from the free list, or makes one when
+// the list is empty.
+func (rc *ResilientConn) getBuf() *[]byte {
+	if bp, ok := rc.free.TryPop(); ok {
+		return bp
+	}
+	b := make([]byte, 0, 64)
+	return &b
+}
+
+// release hands a retired frame's buffer back to the free list (unless
+// it is a jumbo or the list is full) and clears the frame, so the slot
+// that held it keeps nothing alive.
+func (rc *ResilientConn) release(f *outFrame) {
+	if bp := f.buf; bp != nil && cap(*bp) <= maxKeptBuf {
+		*bp = (*bp)[:0]
+		rc.free.TryPush(bp)
+	}
+	f.buf = nil
 }
 
 // ctlLive decides whether a discardable control frame (heartbeat,
@@ -345,23 +363,64 @@ func (rc *ResilientConn) ctlLive() (bool, error) {
 	return rc.cur.Load() != nil, nil
 }
 
-func (rc *ResilientConn) enqueue(f outFrame) error {
+// enqueue queues a data frame, or refuses it with the error its encoding
+// failed with.
+func (rc *ResilientConn) enqueue(f outFrame, err error) error {
+	if err != nil {
+		rc.release(&f)
+		return err
+	}
 	select {
 	case <-rc.done:
-		f.release()
+		rc.release(&f)
 		return ErrLinkClosed
 	default:
 	}
-	if !rc.outq.TryPush(f) {
-		f.release()
-		if rc.outq.Closed() {
+	q := rc.dataRing()
+	if q == nil || !q.TryPush(f) {
+		rc.release(&f)
+		if q == nil || q.Closed() {
 			return ErrLinkClosed
 		}
 		rc.countDrop(1)
 		return ErrOutboxFull
 	}
+	if q.Closed() {
+		// The push raced Close and may have landed after its drain
+		// looked: drain again, so the frame is counted as dropped.
+		rc.drainData()
+		return nil
+	}
 	rc.kick()
 	return nil
+}
+
+// dataRing returns the data outbox, allocating it on the first data
+// frame; nil means the link is closed. The allocation takes qmu, never
+// mu, so even the first data frame does not wait on a redial.
+func (rc *ResilientConn) dataRing() *ring.Ring[outFrame] {
+	if q := rc.outq.Load(); q != nil {
+		return q
+	}
+	rc.qmu.Lock()
+	defer rc.qmu.Unlock()
+	if rc.closed {
+		return nil
+	}
+	q := rc.outq.Load()
+	if q == nil {
+		q = ring.New[outFrame](rc.opts.QueueSize, ring.SingleConsumer)
+		rc.outq.Store(q)
+	}
+	return q
+}
+
+// popData pops the head of the data outbox, if there is one.
+func (rc *ResilientConn) popData() (outFrame, bool) {
+	if q := rc.outq.Load(); q != nil {
+		return q.TryPop()
+	}
+	return outFrame{}, false
 }
 
 // kick wakes the writer if it is parked: the writer raises sleeping
@@ -385,15 +444,20 @@ func (rc *ResilientConn) kick() {
 func (rc *ResilientConn) enqueueCtl(f outFrame) error {
 	select {
 	case <-rc.done:
-		f.release()
+		rc.release(&f)
 		return ErrLinkClosed
 	default:
 	}
 	select {
 	case rc.ctl <- f:
+		select {
+		case <-rc.done: // raced Close: count the frame with the stranded ones
+			rc.drainCtl()
+		default:
+		}
 		return nil
 	default:
-		f.release()
+		rc.release(&f)
 		rc.countDrop(1)
 		rc.countCtlDrop(1)
 		return ErrOutboxFull
@@ -427,6 +491,10 @@ func (rc *ResilientConn) Recv() (Message, error) {
 
 // Stats snapshots the counters.
 func (rc *ResilientConn) Stats() LinkStats {
+	var qlen int
+	if q := rc.outq.Load(); q != nil {
+		qlen = q.Len()
+	}
 	rc.statsMu.Lock()
 	defer rc.statsMu.Unlock()
 	return LinkStats{
@@ -436,8 +504,8 @@ func (rc *ResilientConn) Stats() LinkStats {
 		BatchesSent:    rc.batches,
 		BatchedFrames:  rc.batched,
 		ControlDropped: rc.ctlDropped,
-		QueueLen:       rc.outq.Len(),
-		QueueCap:       rc.outq.Cap(),
+		QueueLen:       qlen,
+		QueueCap:       rc.opts.QueueSize,
 	}
 }
 
@@ -450,7 +518,9 @@ func (rc *ResilientConn) Close() error {
 		rc.mu.Unlock()
 		return nil
 	}
+	rc.qmu.Lock()
 	rc.closed = true
+	rc.qmu.Unlock()
 	if c := rc.cur.Swap(nil); c != nil {
 		c.Close()
 	}
@@ -460,25 +530,48 @@ func (rc *ResilientConn) Close() error {
 	rc.wg.Wait()
 	// Frames stranded in either lane never reached the wire. The ring is
 	// closed first so a producer racing Close is refused rather than
-	// admitted after the drain; its post-Close drain contract guarantees
-	// any push that won the race is picked up below.
-	rc.outq.Close()
+	// admitted; one whose push still lands sees the ring closed and
+	// drains again itself. A producer that had not yet allocated the
+	// ring saw closed under qmu and was refused.
+	if q := rc.outq.Load(); q != nil {
+		q.Close()
+	}
+	rc.drainData()
+	rc.drainCtl()
+	return nil
+}
+
+// drainData counts every frame left in the data ring as dropped. It runs
+// once the writer has exited, from Close and from any send whose push
+// raced Close; qmu makes those drains take turns, so the ring still has
+// one consumer at a time.
+func (rc *ResilientConn) drainData() {
+	rc.qmu.Lock()
+	defer rc.qmu.Unlock()
+	q := rc.outq.Load()
+	if q == nil {
+		return
+	}
 	for {
-		f, ok := rc.outq.TryPop()
+		f, ok := q.TryPop()
 		if !ok {
-			break
+			return
 		}
-		f.release()
+		rc.release(&f)
 		rc.countDrop(1)
 	}
+}
+
+// drainCtl counts every frame left in the control lane as dropped.
+func (rc *ResilientConn) drainCtl() {
 	for {
 		select {
 		case f := <-rc.ctl:
-			f.release()
+			rc.release(&f)
 			rc.countDrop(1)
 			rc.countCtlDrop(1)
 		default:
-			return nil
+			return
 		}
 	}
 }
@@ -610,10 +703,10 @@ func (rc *ResilientConn) manage() {
 // burstCap is the most frames the writer pulls from the outbox before
 // writing: at least 64 so flush coalescing pays off even with batching
 // disabled, and at least BatchMax so a configured batch can fill.
-func (rc *ResilientConn) burstCap() int {
+func (o *ResilientOptions) burstCap() int {
 	n := 64
-	if rc.opts.BatchMax > n {
-		n = rc.opts.BatchMax
+	if o.BatchMax > n {
+		n = o.BatchMax
 	}
 	return n
 }
@@ -627,7 +720,7 @@ func (rc *ResilientConn) burstCap() int {
 // moves on — the outbox, not the TCP session, is the loss boundary.
 func (rc *ResilientConn) write() {
 	defer rc.wg.Done()
-	burst := make([]outFrame, 0, rc.burstCap())
+	burst := make([]outFrame, 0, rc.opts.burstCap())
 	for {
 		f, ok := rc.nextFrame()
 		if !ok {
@@ -657,7 +750,7 @@ func (rc *ResilientConn) nextFrame() (outFrame, bool) {
 		return f, true
 	default:
 	}
-	if f, ok := rc.outq.TryPop(); ok {
+	if f, ok := rc.popData(); ok {
 		return f, true
 	}
 	for {
@@ -671,7 +764,7 @@ func (rc *ResilientConn) nextFrame() (outFrame, bool) {
 			return f, true
 		default:
 		}
-		if f, ok := rc.outq.TryPop(); ok {
+		if f, ok := rc.popData(); ok {
 			rc.sleeping.Store(false)
 			return f, true
 		}
@@ -694,7 +787,7 @@ func (rc *ResilientConn) nextFrame() (outFrame, bool) {
 // linger for stragglers. Returning early on done is safe: the caller's
 // current() will fail and account the burst as dropped.
 func (rc *ResilientConn) fillBurst(burst *[]outFrame) {
-	max := rc.burstCap()
+	max := rc.opts.burstCap()
 	linger := rc.opts.BatchLinger
 	for len(*burst) < max {
 		// Control lane first: a queued retarget or heartbeat rides the
@@ -705,7 +798,7 @@ func (rc *ResilientConn) fillBurst(burst *[]outFrame) {
 			continue
 		default:
 		}
-		if g, ok := rc.outq.TryPop(); ok {
+		if g, ok := rc.popData(); ok {
 			*burst = append(*burst, g)
 			continue
 		}
@@ -730,7 +823,7 @@ func (rc *ResilientConn) fillBurst(burst *[]outFrame) {
 				continue
 			default:
 			}
-			if g, ok := rc.outq.TryPop(); ok {
+			if g, ok := rc.popData(); ok {
 				rc.sleeping.Store(false)
 				timer.Stop()
 				*burst = append(*burst, g)
@@ -767,7 +860,8 @@ func batchable(k Kind) bool { return k == KindData || k == KindRouted || k == Ki
 // burst's flush instead of paying it a flush (and often a syscall) of
 // its own.
 func (rc *ResilientConn) idle() bool {
-	return rc.outq.Len() == 0 && len(rc.ctl) == 0
+	q := rc.outq.Load()
+	return (q == nil || q.Len() == 0) && len(rc.ctl) == 0
 }
 
 // writeBurst writes the burst as a sequence of batch frames (runs of
@@ -784,7 +878,7 @@ func (rc *ResilientConn) writeBurst(conn *Conn, gen int, burst []outFrame) {
 		if useBatch && batchable(burst[i].kind) {
 			bytes := 0
 			for j < len(burst) && j-i < rc.opts.BatchMax && batchable(burst[j].kind) {
-				bytes += 5 + len(burst[j].body)
+				bytes += 5 + len(*burst[j].buf)
 				if bytes > maxBatchBytes && j > i {
 					break
 				}
@@ -806,7 +900,7 @@ func (rc *ResilientConn) writeBurst(conn *Conn, gen int, burst []outFrame) {
 		} else {
 			n = 1
 			last := i == len(burst)-1
-			err = conn.writeFrame(burst[i].kind, burst[i].body, last && rc.idle())
+			err = conn.writeFrame(burst[i].kind, *burst[i].buf, last && rc.idle())
 		}
 		if err != nil {
 			rc.invalidate(gen)
@@ -817,7 +911,7 @@ func (rc *ResilientConn) writeBurst(conn *Conn, gen int, burst []outFrame) {
 		// the reconnect backoff on this evidence (and only on it).
 		rc.wroteOK.Store(true)
 		for k := i; k < i+n; k++ {
-			burst[k].release()
+			rc.release(&burst[k])
 		}
 		rc.statsMu.Lock()
 		rc.sent += int64(n)
@@ -837,9 +931,9 @@ func (rc *ResilientConn) dropFrames(frames []outFrame, notify bool) {
 			ctl++
 		}
 		if notify && rc.opts.OnDrop != nil {
-			rc.opts.OnDrop(frames[i].kind, frames[i].hops, frames[i].trace)
+			rc.opts.OnDrop(frames[i].kind, int(frames[i].hops), frames[i].trace)
 		}
-		frames[i].release()
+		rc.release(&frames[i])
 	}
 	if ctl > 0 {
 		rc.countCtlDrop(ctl)

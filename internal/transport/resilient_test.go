@@ -522,7 +522,7 @@ func TestHotPathTakesNoLinkLock(t *testing.T) {
 		}
 		defer c.Close()
 		body, _ := encodeSDO(nil, sdo.SDO{Seq: 7, Origin: time.Unix(0, 1)})
-		frame := outFrame{kind: KindData, body: body}
+		frame := outFrame{kind: KindData, buf: &body}
 		if c.sendBatch([]outFrame{frame, frame}, true) != nil {
 			return
 		}
@@ -719,7 +719,7 @@ func TestResilientRefusesVersionMismatch(t *testing.T) {
 			// A version-2 hello (version byte plus feature word), then a
 			// data frame the refusing side must never deliver.
 			body := append([]byte{2}, make([]byte, 8)...)
-			if c.send(KindHello, body) != nil || c.SendSDO(sdo.SDO{Seq: 1, Origin: time.Unix(0, 1)}) != nil {
+			if c.writeFrame(KindHello, body, true) != nil || c.SendSDO(sdo.SDO{Seq: 1, Origin: time.Unix(0, 1)}) != nil {
 				c.Close()
 				continue
 			}

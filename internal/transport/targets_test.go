@@ -60,7 +60,7 @@ func TestRecvRejectsBadTargetsFrame(t *testing.T) {
 	client, server := pair(t)
 	body := make([]byte, 20)
 	body[19] = 3 // three rows claimed, none follow
-	if err := client.send(KindTargets, body); err != nil {
+	if err := client.writeFrame(KindTargets, body, true); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := server.Recv(); err == nil {

@@ -163,30 +163,15 @@ const maxFrame = 16 << 20
 // anyway for any non-empty member) and is rejected before allocation.
 const maxBatchMembers = 4096
 
-// bufPool recycles frame-body buffers across encodes and receives, so the
-// steady-state data path performs no per-frame heap allocation. Buffers
-// are stored by pointer (storing slices directly would allocate a header
-// on every Put).
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 512)
-		return &b
-	},
-}
+// maxKeptBuf is the largest encode buffer a link's free list or a Conn's
+// send scratch keeps: a one-off jumbo frame must not pin megabytes for
+// the life of the connection.
+const maxKeptBuf = 256 << 10
 
-// poolBufMaxCap is the largest buffer returned to the pool; one-off jumbo
-// frames must not pin megabytes inside it.
-const poolBufMaxCap = 256 << 10
-
-func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-func putBuf(bp *[]byte) {
-	if bp == nil || cap(*bp) > poolBufMaxCap {
-		return
-	}
-	*bp = (*bp)[:0]
-	bufPool.Put(bp)
-}
+// maxKeptBody is the largest frame body Recv's buffer keeps. It covers
+// every batch frame a writer forms from ordinary members (maxBatchBytes
+// plus headers); a frame above it is read into a buffer of its own.
+const maxKeptBody = 2 * maxBatchBytes
 
 // Conn is a framed connection. Writes are internally serialized, so one
 // Conn may be shared by multiple sender goroutines; Recv must be called
@@ -214,6 +199,9 @@ type Conn struct {
 	vhdr  []byte
 	vbufs net.Buffers
 	vsend net.Buffers
+	// wbuf is the direct Send* paths' encode scratch (guarded by wmu): a
+	// frame is encoded and written under one hold of the lock.
+	wbuf []byte
 
 	// pending holds decoded batch members not yet returned by Recv
 	// (Recv-goroutine-owned, no lock needed).
@@ -223,6 +211,10 @@ type Conn struct {
 	// on the write side, a stack-local array would escape into the
 	// io.ReadFull interface call and cost one heap allocation per frame.
 	rhdr [5]byte
+	// rbuf holds the frame body being decoded (Recv-goroutine-owned).
+	// Reusing it is safe because decoding never keeps the body: payloads
+	// are copied into slabs and target rows into fresh slices.
+	rbuf []byte
 }
 
 // NewConn wraps a net.Conn with framing.
@@ -256,23 +248,16 @@ func (c *Conn) SetReadDeadline(t time.Time) error { return c.raw.SetReadDeadline
 // has no feature bits); the parameter is kept only because
 // bench/probes.go compiles against it.
 func (c *Conn) SendHello(features uint64) error {
-	return c.send(KindHello, []byte{protocolVersion})
+	return c.send(KindHello, func(b []byte) ([]byte, error) { return append(b, protocolVersion), nil })
 }
 
 // SendSDO writes one data frame. The payload must be nil or []byte.
 func (c *Conn) SendSDO(s sdo.SDO) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body, err := encodeSDO((*bp)[:0], s)
-	if err != nil {
-		return err
-	}
-	*bp = body[:0]
-	return c.send(KindData, body)
+	return c.send(KindData, func(b []byte) ([]byte, error) { return encodeSDO(b, s) })
 }
 
 // encodeSDO appends the data-frame body for s to dst and returns the
-// extended slice (append-style, so callers can reuse pooled buffers).
+// extended slice (append-style, so callers can reuse their buffers).
 func encodeSDO(dst []byte, s sdo.SDO) ([]byte, error) {
 	var payload []byte
 	switch p := s.Payload.(type) {
@@ -296,14 +281,7 @@ func encodeSDO(dst []byte, s sdo.SDO) ([]byte, error) {
 // SendRouted writes a data frame addressed to a specific PE in a peer
 // process.
 func (c *Conn) SendRouted(to sdo.PEID, s sdo.SDO) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body, err := encodeRouted((*bp)[:0], to, s)
-	if err != nil {
-		return err
-	}
-	*bp = body[:0]
-	return c.send(KindRouted, body)
+	return c.send(KindRouted, func(b []byte) ([]byte, error) { return encodeRouted(b, to, s) })
 }
 
 // encodeRouted appends the routed-frame body (destination PE + SDO) to dst.
@@ -315,14 +293,7 @@ func encodeRouted(dst []byte, to sdo.PEID, s sdo.SDO) ([]byte, error) {
 // SendReplica writes a data frame addressed to a specific replica slot of
 // a PE in a peer process.
 func (c *Conn) SendReplica(to sdo.PEID, rep int32, s sdo.SDO) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body, err := encodeReplica((*bp)[:0], to, rep, s)
-	if err != nil {
-		return err
-	}
-	*bp = body[:0]
-	return c.send(KindReplica, body)
+	return c.send(KindReplica, func(b []byte) ([]byte, error) { return encodeReplica(b, to, rep, s) })
 }
 
 // encodeReplica appends the replica-frame body (PE + replica slot + SDO).
@@ -334,11 +305,7 @@ func encodeReplica(dst []byte, to sdo.PEID, rep int32, s sdo.SDO) ([]byte, error
 
 // SendFeedback writes one control frame.
 func (c *Conn) SendFeedback(f Feedback) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body := encodeFeedback((*bp)[:0], f)
-	*bp = body[:0]
-	return c.send(KindFeedback, body)
+	return c.send(KindFeedback, func(b []byte) ([]byte, error) { return encodeFeedback(b, f), nil })
 }
 
 // encodeFeedback appends the feedback-frame body to dst.
@@ -352,11 +319,7 @@ func encodeFeedback(dst []byte, f Feedback) []byte {
 // keep their own frames (never batched): membership judgement rides the
 // control path's latency, not the data path's.
 func (c *Conn) SendHeartbeat(hb Heartbeat) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body := encodeHeartbeat((*bp)[:0], hb)
-	*bp = body[:0]
-	return c.send(KindHeartbeat, body)
+	return c.send(KindHeartbeat, func(b []byte) ([]byte, error) { return encodeHeartbeat(b, hb), nil })
 }
 
 // encodeHeartbeat appends the heartbeat-frame body to dst.
@@ -370,11 +333,7 @@ func encodeHeartbeat(dst []byte, hb Heartbeat) []byte {
 // feedback and heartbeats, target frames keep their own frames (never
 // batched): a retarget must not wait behind a data burst.
 func (c *Conn) SendTargets(t Targets) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body := encodeTargets((*bp)[:0], t)
-	*bp = body[:0]
-	return c.send(KindTargets, body)
+	return c.send(KindTargets, func(b []byte) ([]byte, error) { return encodeTargets(b, t), nil })
 }
 
 // encodeTargets appends the targets-frame body to dst: term(u64)
@@ -433,11 +392,7 @@ func decodeTargets(body []byte) (Targets, error) {
 // SendTargetAck writes one upward ack frame. Control-path contract
 // matches SendTargets: own frame, never batched.
 func (c *Conn) SendTargetAck(a TargetAck) error {
-	bp := getBuf()
-	defer putBuf(bp)
-	body := encodeTargetAck((*bp)[:0], a)
-	*bp = body[:0]
-	return c.send(KindTargetAck, body)
+	return c.send(KindTargetAck, func(b []byte) ([]byte, error) { return encodeTargetAck(b, a), nil })
 }
 
 // encodeTargetAck appends the ack-frame body: term(u64) origin(i32)
@@ -449,12 +404,23 @@ func encodeTargetAck(dst []byte, a TargetAck) []byte {
 	return dst
 }
 
-// send writes one frame and flushes: the contract for direct Conn users
-// (including the control path, whose feedback frames must reach the peer
-// sub-Δt, not sit in a 64 KiB buffer). Writers that know more work is
-// queued use writeFrame/Flush to coalesce syscalls.
-func (c *Conn) send(k Kind, body []byte) error {
-	return c.writeFrame(k, body, true)
+// send encodes one frame body into the Conn's scratch with enc and
+// writes the frame with a flush, under one hold of the write lock: the
+// contract for direct Conn users (including the control path, whose
+// feedback frames must reach the peer sub-Δt, not sit in a 64 KiB
+// buffer). Writers that know more work is queued use writeFrame/Flush to
+// coalesce syscalls.
+func (c *Conn) send(k Kind, enc func([]byte) ([]byte, error)) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	body, err := enc(c.wbuf[:0])
+	if err != nil {
+		return err
+	}
+	if cap(body) <= maxKeptBuf {
+		c.wbuf = body[:0]
+	}
+	return c.frame(k, body, true)
 }
 
 // writeFrame writes one frame, flushing only when flush is set. A caller
@@ -464,6 +430,11 @@ func (c *Conn) send(k Kind, body []byte) error {
 func (c *Conn) writeFrame(k Kind, body []byte, flush bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
+	return c.frame(k, body, flush)
+}
+
+// frame is writeFrame with wmu held.
+func (c *Conn) frame(k Kind, body []byte, flush bool) error {
 	hdr := c.hdr[:5]
 	hdr[0] = byte(k)
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
@@ -492,7 +463,7 @@ func (c *Conn) Flush() error {
 // buffer is cheaper than marshalling an iovec per member and costs no
 // extra syscall (the burst coalesces several batches into one flush);
 // above it, the copy dominates — member payloads go to the kernel
-// straight from their pooled encode buffers, one syscall per batch
+// straight from their encode buffers, one syscall per batch
 // regardless of size.
 const vecMinBytes = 8 << 10
 
@@ -513,7 +484,7 @@ func (c *Conn) sendBatch(members []outFrame, flush bool) error {
 	defer c.wmu.Unlock()
 	total := 4
 	for i := range members {
-		total += 5 + len(members[i].body)
+		total += 5 + len(*members[i].buf)
 	}
 	if total > maxFrame {
 		return fmt.Errorf("transport: batch of %d bytes exceeds frame limit", total)
@@ -529,13 +500,14 @@ func (c *Conn) sendBatch(members []outFrame, flush bool) error {
 		return fmt.Errorf("transport: write batch header: %w", err)
 	}
 	for i := range members {
+		body := *members[i].buf
 		mh := c.hdr[:5]
 		mh[0] = byte(members[i].kind)
-		binary.BigEndian.PutUint32(mh[1:], uint32(len(members[i].body)))
+		binary.BigEndian.PutUint32(mh[1:], uint32(len(body)))
 		if _, err := c.w.Write(mh); err != nil {
 			return fmt.Errorf("transport: write batch member header: %w", err)
 		}
-		if _, err := c.w.Write(members[i].body); err != nil {
+		if _, err := c.w.Write(body); err != nil {
 			return fmt.Errorf("transport: write batch member: %w", err)
 		}
 	}
@@ -567,11 +539,12 @@ func (c *Conn) sendBatchVec(members []outFrame, total int) error {
 	bufs := append(c.vbufs[:0], vh[:9])
 	off := 9
 	for i := range members {
+		body := *members[i].buf
 		mh := vh[off : off+5]
 		off += 5
 		mh[0] = byte(members[i].kind)
-		binary.BigEndian.PutUint32(mh[1:], uint32(len(members[i].body)))
-		bufs = append(bufs, mh, members[i].body)
+		binary.BigEndian.PutUint32(mh[1:], uint32(len(body)))
+		bufs = append(bufs, mh, body)
 	}
 	c.vbufs = bufs
 	if err := c.w.Flush(); err != nil {
@@ -581,7 +554,7 @@ func (c *Conn) sendBatchVec(members []outFrame, total int) error {
 	_, err := c.vsend.WriteTo(c.raw)
 	c.vsend = nil
 	// WriteTo consumed the vsend header; clear the retained builder so
-	// this scratch does not keep the members' pooled buffers alive (the
+	// this scratch does not keep the members' encode buffers alive (the
 	// caller recycles them as soon as we return).
 	for i := range c.vbufs {
 		c.vbufs[i] = nil
@@ -617,18 +590,18 @@ func (c *Conn) Recv() (Message, error) {
 		if n > maxFrame {
 			return Message{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 		}
-		bp := getBuf()
-		if cap(*bp) < int(n) {
-			*bp = make([]byte, n)
+		body := c.rbuf
+		if cap(body) < int(n) {
+			body = make([]byte, n)
+			if n <= maxKeptBody {
+				c.rbuf = body
+			}
 		}
-		body := (*bp)[:n]
+		body = body[:n]
 		if _, err := io.ReadFull(c.r, body); err != nil {
-			putBuf(bp)
 			return Message{}, fmt.Errorf("transport: read body: %w", err)
 		}
 		msg, handled, err := c.decodeFrame(kind, body)
-		*bp = body[:0]
-		putBuf(bp)
 		if err != nil {
 			return Message{}, err
 		}
@@ -642,8 +615,8 @@ func (c *Conn) Recv() (Message, error) {
 // decodeFrame decodes one frame body. handled=true means the frame was
 // consumed internally (hello checked, batch split into c.pending) and
 // Recv should continue with the next frame or pending member. The body is
-// never retained: payloads are copied into payload slabs, so the caller
-// can pool it.
+// never retained: payloads are copied into payload slabs, so Recv reads
+// every frame into the same buffer.
 func (c *Conn) decodeFrame(kind Kind, body []byte) (msg Message, handled bool, err error) {
 	switch kind {
 	case KindData, KindRouted, KindReplica:
